@@ -1,9 +1,11 @@
 #include "bb/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -39,15 +41,21 @@ std::uint64_t get_u64(const std::byte* p) {
   return v;
 }
 
-Status write_all(int fd, const std::byte* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    ssize_t w = ::write(fd, data + off, n - off);
+// Write every byte of `iov` to fd, resuming after short writes.
+Status writev_all(int fd, std::span<::iovec> iov) {
+  std::size_t i = 0;
+  while (i < iov.size()) {
+    const ssize_t w = ::writev(fd, iov.data() + i, static_cast<int>(iov.size() - i));
     if (w < 0) {
       if (errno == EINTR) continue;
       return {Errc::io_error, std::string("journal write: ") + std::strerror(errno)};
     }
-    off += static_cast<std::size_t>(w);
+    auto done = static_cast<std::size_t>(w);
+    for (; i < iov.size() && done >= iov[i].iov_len; ++i) done -= iov[i].iov_len;
+    if (done > 0) {
+      iov[i].iov_base = static_cast<std::byte*>(iov[i].iov_base) + done;
+      iov[i].iov_len -= done;
+    }
   }
   return Status::ok();
 }
@@ -144,9 +152,8 @@ Status Journal::open_segment_locked(std::uint32_t index) {
   if (fd < 0) {
     return {Errc::io_error, "journal create " + path + ": " + std::strerror(errno)};
   }
-  std::byte magic[kSegmentMagicLen];
-  std::memcpy(magic, kSegmentMagic, kSegmentMagicLen);
-  if (Status st = write_all(fd, magic, kSegmentMagicLen); !st.is_ok()) {
+  std::array<::iovec, 1> iov{{{const_cast<char*>(kSegmentMagic), kSegmentMagicLen}}};
+  if (Status st = writev_all(fd, iov); !st.is_ok()) {
     ::close(fd);
     return st;
   }
@@ -167,17 +174,21 @@ Status Journal::append_locked(RecordType type, int fd, std::uint64_t offset, std
     if (Status st = open_segment_locked(segments_.back() + 1); !st.is_ok()) return st;
   }
 
-  std::vector<std::byte> rec(rec_len);
-  std::byte* body = rec.data() + kFrameLen;
+  // The fixed part of the record is built here; the payload is gathered
+  // from the caller's buffer, so it is read twice (CRC, write) and never
+  // copied in user space.
+  std::array<std::byte, kFrameLen + kBodyFixed> head;
+  std::byte* body = head.data() + kFrameLen;
   body[0] = static_cast<std::byte>(type);
   put_u32(body + 1, static_cast<std::uint32_t>(fd));
   put_u64(body + 5, offset);
   put_u64(body + 13, len);
-  if (!payload.empty()) std::memcpy(body + kBodyFixed, payload.data(), payload.size());
-  put_u32(rec.data(), static_cast<std::uint32_t>(body_len));
-  put_u32(rec.data() + 4, crc32c(body, body_len));
+  put_u32(head.data(), static_cast<std::uint32_t>(body_len));
+  put_u32(head.data() + 4, crc32c_extend(crc32c(body, kBodyFixed), payload));
 
-  if (Status st = write_all(cur_fd_, rec.data(), rec.size()); !st.is_ok()) return st;
+  std::array<::iovec, 2> iov{{{head.data(), head.size()},
+                              {const_cast<std::byte*>(payload.data()), payload.size()}}};
+  if (Status st = writev_all(cur_fd_, iov); !st.is_ok()) return st;
   if (cfg_.fsync_each) {
     if (::fdatasync(cur_fd_) != 0) {
       return {Errc::io_error, std::string("journal fdatasync: ") + std::strerror(errno)};

@@ -1,10 +1,21 @@
 #include "rt/bml.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <new>
 
+#include <sanitizer/asan_interface.h>  // the poisoning macros are no-ops without ASan
+
 namespace iofwd::rt {
+
+namespace {
+
+std::uint64_t round_up(std::uint64_t n, std::uint64_t to) { return (n + to - 1) / to * to; }
+
+}  // namespace
 
 Buffer::Buffer(Buffer&& o) noexcept
     : pool_(o.pool_), data_(o.data_), class_bytes_(o.class_bytes_) {
@@ -48,8 +59,9 @@ BufferPool::BufferPool(std::uint64_t total_bytes, std::uint64_t min_class_bytes,
 BufferPool::~BufferPool() {
   std::scoped_lock lock(mu_);
   assert(in_use_ == 0 && "destroying BufferPool with buffers outstanding");
-  for (auto& [cls, list] : free_) {
-    for (std::byte* p : list) ::operator delete[](p, std::align_val_t{64});
+  for (auto [base, len] : chunks_) {
+    ASAN_UNPOISON_MEMORY_REGION(base, len);
+    ::munmap(base, static_cast<std::size_t>(len));
   }
 }
 
@@ -68,13 +80,53 @@ std::uint64_t BufferPool::size_class(std::uint64_t bytes) const {
 
 std::byte* BufferPool::take_storage(std::uint64_t class_bytes) {
   auto& list = free_[class_bytes];
+  std::byte* p = nullptr;
   if (!list.empty()) {
-    std::byte* p = list.back();
+    p = list.back();
     list.pop_back();
-    return p;
+  } else {
+    p = carve(class_bytes);
   }
-  return static_cast<std::byte*>(
-      ::operator new[](static_cast<std::size_t>(class_bytes), std::align_val_t{64}));
+  ASAN_UNPOISON_MEMORY_REGION(p, class_bytes);
+  return p;
+}
+
+std::byte* BufferPool::carve(std::uint64_t class_bytes) {
+  // 64-byte steps keep every lease cache-line aligned (quarter classes of
+  // small pow2 bases are not multiples of 64).
+  const std::uint64_t len = round_up(class_bytes, 64);
+  if (len > kChunkBytes) return map_chunk(round_up(len, kChunkBytes));
+  if (bump_left_ < len) {
+    // The old chunk's tail stays poisoned and unused.
+    bump_ = map_chunk(kChunkBytes);
+    bump_left_ = kChunkBytes;
+  }
+  std::byte* p = bump_;
+  bump_ += len;
+  bump_left_ -= len;
+  return p;
+}
+
+std::byte* BufferPool::map_chunk(std::uint64_t len) {
+  // Over-map by one chunk, then trim both ends to a kChunkBytes-aligned
+  // window so the kernel can back it with whole huge pages. Nothing is
+  // touched here: pages fault in on first use, so a pool costs no setup time.
+  const auto want = static_cast<std::size_t>(len);
+  const auto span = static_cast<std::size_t>(len + kChunkBytes);
+  void* raw = ::mmap(nullptr, span, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const auto start = reinterpret_cast<std::uintptr_t>(raw);
+  const std::uintptr_t base = round_up(start, kChunkBytes);
+  if (base > start) ::munmap(raw, base - start);
+  if (const std::size_t tail = start + span - (base + want); tail > 0) {
+    ::munmap(reinterpret_cast<void*>(base + want), tail);
+  }
+  auto* p = reinterpret_cast<std::byte*>(base);
+  // A hint: ignored where transparent huge pages are off.
+  (void)::madvise(p, want, MADV_HUGEPAGE);
+  ASAN_POISON_MEMORY_REGION(p, len);
+  chunks_.emplace_back(p, len);
+  return p;
 }
 
 Result<Buffer> BufferPool::acquire(std::uint64_t bytes) {
@@ -120,6 +172,7 @@ void BufferPool::give_back(std::byte* data, std::uint64_t class_bytes) {
   std::scoped_lock lock(mu_);
   assert(in_use_ >= class_bytes);
   in_use_ -= class_bytes;
+  ASAN_POISON_MEMORY_REGION(data, class_bytes);
   free_[class_bytes].push_back(data);
   cv_.notify_all();
 }

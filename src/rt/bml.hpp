@@ -1,10 +1,22 @@
 // Real buffer management layer: the runtime twin of proto::Bml.
 //
 // Hands out actual power-of-two buffers from a capped pool; acquire blocks
-// (FIFO-fair via the ticket check) when the pool is exhausted, exactly like
-// the simulated BML and the paper's description (Sec. IV). Freed buffers are
-// cached per size class and reused, which is the whole point of a buffer
+// when the pool is exhausted, like the simulated BML and the paper's
+// description (Sec. IV). Blocking is not FIFO-fair: every release wakes all
+// waiters and whichever re-checks capacity first wins, so a large request
+// can be overtaken by smaller ones that fit. Freed buffers are cached per
+// size class (LIFO) and reused, which is the whole point of a buffer
 // manager on a memory-constrained ION.
+//
+// Storage comes from an arena (DESIGN.md §8): leases are carved from
+// 2 MiB-aligned anonymous mmap chunks advised MADV_HUGEPAGE, mapped lazily on
+// the first acquire that needs one and unmapped when the pool is destroyed.
+// A lease larger than a chunk gets a mapping of its own. Carving never
+// returns bytes to a chunk; a freed lease only ever goes back to its class's
+// free list, so the free lists and capacity accounting are the same as with
+// one heap allocation per lease. Under AddressSanitizer, free-listed and
+// not-yet-carved arena bytes are poisoned, so a read through a released
+// lease is reported.
 #pragma once
 
 #include <chrono>
@@ -14,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/status.hpp"
@@ -83,8 +96,13 @@ class BufferPool {
 
  private:
   friend class Buffer;
+  // One transparent huge page on x86-64 and the unit of arena growth.
+  static constexpr std::uint64_t kChunkBytes = 2ull << 20;
+
   void give_back(std::byte* data, std::uint64_t class_bytes);
   std::byte* take_storage(std::uint64_t class_bytes);  // mu_ held
+  std::byte* carve(std::uint64_t class_bytes);         // mu_ held
+  std::byte* map_chunk(std::uint64_t len);             // mu_ held
 
   std::uint64_t total_;
   std::uint64_t min_class_;
@@ -97,6 +115,11 @@ class BufferPool {
   std::uint64_t blocked_ = 0;
   // Free-list cache per size class.
   std::map<std::uint64_t, std::vector<std::byte*>> free_;
+  // Every arena mapping (base, length), unmapped by the destructor.
+  std::vector<std::pair<std::byte*, std::uint64_t>> chunks_;
+  // Uncarved tail of the newest chunk.
+  std::byte* bump_ = nullptr;
+  std::uint64_t bump_left_ = 0;
 };
 
 }  // namespace iofwd::rt

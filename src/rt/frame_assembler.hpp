@@ -10,6 +10,11 @@
 // validation, counters, and dispatch all stay in the caller, so the blocking
 // receiver path (feed_bytes, non-pollable streams) reuses the identical
 // byte-for-byte decode by pumping the same feed() from read_exact chunks.
+//
+// Direct receive: once a header is parsed, payload_dest() exposes the rest
+// of the payload's destination so the receiver can read() straight into the
+// BML lease, then commit() the byte count. Only bytes that arrived in the
+// same read as the header pass through feed()'s memcpy.
 #pragma once
 
 #include <algorithm>
@@ -50,6 +55,24 @@ class FrameAssembler {
     sink_ = {};
   }
 
+  // The unfilled rest of the current payload's destination. Empty while a
+  // header is pending and for a discard sink (dest == nullptr): those bytes
+  // go through feed().
+  [[nodiscard]] std::span<std::byte> payload_dest() const {
+    if (!in_payload_ || sink_.dest == nullptr) return {};
+    return {sink_.dest + filled_, static_cast<std::size_t>(sink_.len - filled_)};
+  }
+
+  // Account n bytes the caller stored at payload_dest() (n <= its size) and
+  // fire on_frame if they complete the payload; same contract as feed().
+  template <typename OnFrame>
+  Status commit(std::size_t n, OnFrame&& on_frame) {
+    filled_ += n;
+    if (filled_ < sink_.len) return Status::ok();  // payload still partial
+    in_payload_ = false;
+    return on_frame();
+  }
+
   // Pump bytes through the state machine.
   //   on_header: Result<Sink>(std::span<const std::byte, kWireSize>) —
   //     decode + validate + choose payload staging; an error status drops
@@ -82,12 +105,9 @@ class FrameAssembler {
       if (sink_.dest != nullptr && take > 0) {
         std::memcpy(sink_.dest + filled_, bytes.data() + pos, take);
       }
-      filled_ += take;
       pos += take;
-      if (filled_ < sink_.len) return Status::ok();  // payload still partial
-      in_payload_ = false;
-      if (Status st = on_frame(); !st.is_ok()) return st;
-      if (pos >= bytes.size()) return Status::ok();
+      if (Status st = commit(take, on_frame); !st.is_ok()) return st;
+      if (in_payload_ || pos >= bytes.size()) return Status::ok();
     }
   }
 

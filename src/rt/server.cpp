@@ -489,14 +489,21 @@ void IonServer::lane_loop(Lane& lane) {
       if (!ev.readable) continue;
       // Edge-triggered contract: drain to would_block before re-arming.
       while (true) {
-        auto r = conn->stream->read_some(scratch.data(), scratch.size());
+        // Direct receive: a parsed header's payload is read straight into
+        // its staging buffer; headers and discarded payloads use scratch.
+        const std::span<std::byte> dest = conn->assembler.payload_dest();
+        const bool direct = !dest.empty();
+        auto r = direct ? conn->stream->read_some(dest.data(), dest.size())
+                        : conn->stream->read_some(scratch.data(), scratch.size());
         if (!r.is_ok()) {
           if (r.code() == Errc::would_block) break;
           drop_lane_conn(lane, key, *conn, r.code());  // EOF or hard error
           break;
         }
         lane.c_bytes.add(r.value());
-        if (Status st = on_bytes(conn, std::span<const std::byte>(scratch.data(), r.value()));
+        if (Status st = direct ? on_payload(conn, r.value())
+                               : on_bytes(conn, std::span<const std::byte>(scratch.data(),
+                                                                           r.value()));
             !st.is_ok()) {
           drop_lane_conn(lane, key, *conn, st.code());
           break;
@@ -545,6 +552,11 @@ void IonServer::blocking_receiver_loop(std::shared_ptr<ClientConn> conn) {
   // just pumped by blocking reads of exactly what the state machine needs.
   std::vector<std::byte> scratch(64 * 1024);
   while (!stopping_) {
+    if (const std::span<std::byte> dest = conn->assembler.payload_dest(); !dest.empty()) {
+      if (!conn->stream->read_exact(dest.data(), dest.size()).is_ok()) break;
+      if (!on_payload(conn, dest.size()).is_ok()) break;
+      continue;
+    }
     const std::size_t need = std::min(conn->assembler.needed(), scratch.size());
     if (!conn->stream->read_exact(scratch.data(), need).is_ok()) break;
     if (!on_bytes(conn, std::span<const std::byte>(scratch.data(), need)).is_ok()) break;
@@ -562,6 +574,10 @@ Status IonServer::on_bytes(const std::shared_ptr<ClientConn>& conn,
         return on_header(*conn, hdr);
       },
       [&] { return on_frame(conn); });
+}
+
+Status IonServer::on_payload(const std::shared_ptr<ClientConn>& conn, std::size_t n) {
+  return conn->assembler.commit(n, [&] { return on_frame(conn); });
 }
 
 Result<FrameAssembler::Sink> IonServer::on_header(

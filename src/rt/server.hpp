@@ -372,6 +372,8 @@ class IonServer {
   void drop_lane_conn(Lane& lane, std::uint64_t key, ClientConn& conn, Errc reason);
   void blocking_receiver_loop(std::shared_ptr<ClientConn> conn);
   Status on_bytes(const std::shared_ptr<ClientConn>& conn, std::span<const std::byte> bytes);
+  // n payload bytes were read straight into assembler.payload_dest().
+  Status on_payload(const std::shared_ptr<ClientConn>& conn, std::size_t n);
   Result<FrameAssembler::Sink> on_header(
       ClientConn& conn, std::span<const std::byte, FrameHeader::kWireSize> hdr_bytes);
   Status on_frame(const std::shared_ptr<ClientConn>& conn);

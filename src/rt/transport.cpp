@@ -340,11 +340,13 @@ Status SocketTransport::write_all(const void* buf, std::size_t n) {
   const auto* p = static_cast<const std::byte*>(buf);
   std::size_t put = 0;
   while (put < n) {
-    const ssize_t r = ::write(fd_.load(), p + put, n - put);
+    // MSG_NOSIGNAL: a dead peer is an error status, not a process-killing
+    // SIGPIPE.
+    const ssize_t r = ::send(fd_.load(), p + put, n - put, MSG_NOSIGNAL);
     if (r < 0) {
       if (errno == EINTR) continue;
-      if (errno == EPIPE) return Status(Errc::shutdown, "peer closed");
-      return Status(Errc::io_error, std::string("write: ") + std::strerror(errno));
+      if (errno == EPIPE || errno == ECONNRESET) return Status(Errc::shutdown, "peer closed");
+      return Status(Errc::io_error, std::string("send: ") + std::strerror(errno));
     }
     put += static_cast<std::size_t>(r);
   }

@@ -211,6 +211,73 @@ TEST(Journal, RotatesSegmentsPastTheConfiguredSize) {
   EXPECT_EQ(model.live_bytes(), 16u * 1024u);
 }
 
+// The on-disk format, pinned byte for byte: segment magic, then per record
+// u32 body_len | u32 crc32c(body) | body, little-endian, with
+// body = u8 type | i32 fd | u64 offset | u64 len | payload. The CRCs are
+// literals computed independently of this code base.
+TEST(Journal, SegmentBytesMatchTheHandEncodedFormat) {
+  std::vector<std::byte> expect;
+  auto put = [&](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) expect.push_back(static_cast<std::byte>(v >> (8 * i)));
+  };
+  auto record = [&](std::uint8_t type, std::uint64_t offset, std::uint64_t len,
+                    std::uint32_t crc, std::span<const std::byte> payload) {
+    put(21 + payload.size(), 4);  // body_len
+    put(crc, 4);
+    put(type, 1);
+    put(7, 4);  // fd
+    put(offset, 8);
+    put(len, 8);
+    expect.insert(expect.end(), payload.begin(), payload.end());
+  };
+  std::vector<std::byte> staged(16);
+  for (std::size_t i = 0; i < staged.size(); ++i) staged[i] = static_cast<std::byte>(i);
+  for (char c : std::string("IOFWDWAL")) expect.push_back(static_cast<std::byte>(c));
+  record(1, 0, 4, 0x3c3da2df, std::as_bytes(std::span("ckpt", 4)));  // open
+  record(2, 4096, 16, 0x8dcf8dd7, staged);                           // stage
+  record(3, 4096, 8, 0x7b32c279, {});                                // retire (half)
+
+  TempDir td;
+  {
+    auto j = open_journal(td.path);
+    ASSERT_TRUE(j->append_open(7, "ckpt").is_ok());
+    ASSERT_TRUE(j->append_stage(7, 4096, staged).is_ok());
+    ASSERT_TRUE(j->append_retire(7, 4096, 8).is_ok());  // 8 bytes stay live: no truncation
+    EXPECT_EQ(j->size_bytes(), expect.size());
+  }
+  const std::string seg = td.path + "/wal-000001.seg";
+  std::vector<std::byte> got(std::filesystem::file_size(seg));
+  {
+    std::FILE* f = std::fopen(seg.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(std::fread(got.data(), 1, got.size(), f), got.size());
+    std::fclose(f);
+  }
+  EXPECT_EQ(got, expect);
+
+  // The hand-encoded image replays on its own.
+  TempDir image;
+  {
+    std::FILE* f = std::fopen((image.path + "/wal-000001.seg").c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(std::fwrite(expect.data(), 1, expect.size(), f), expect.size());
+    std::fclose(f);
+  }
+  auto j = open_journal(image.path);
+  StagedModel model;
+  auto counts = j->replay(model.visitor());
+  ASSERT_TRUE(counts.is_ok());
+  EXPECT_EQ(counts.value().applied, 3u);
+  EXPECT_FALSE(counts.value().torn);
+  const auto files = model.files();
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files.at(7).path, "ckpt");
+  ASSERT_EQ(files.at(7).runs.size(), 1u);
+  EXPECT_EQ(files.at(7).runs[0].offset, 4104u);
+  EXPECT_EQ(files.at(7).runs[0].bytes,
+            std::vector<std::byte>(staged.begin() + 8, staged.end()));
+}
+
 TEST(StagedModel, NewestWriteWinsOnOverlap) {
   StagedModel m;
   m.open(1, "w");

@@ -2,10 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define IOFWD_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define IOFWD_TEST_ASAN 1
+#endif
+#endif
+#ifdef IOFWD_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace iofwd::rt {
 namespace {
@@ -169,6 +186,100 @@ TEST(BufferPoolQuarter, AcquireReleaseRoundTrip) {
   }
   EXPECT_EQ(pool.in_use(), 0u);
 }
+
+// --------------------------------------------------------------------------
+// Arena storage: leases carved from 2 MiB mmap chunks.
+// --------------------------------------------------------------------------
+
+class ArenaPolicy : public ::testing::TestWithParam<SizeClassPolicy> {};
+
+TEST_P(ArenaPolicy, MixedClassLeasesNeverOverlap) {
+  // 4 KiB to 4 MiB, so small leases share chunks and the 3 and 4 MiB ones
+  // are bigger than a chunk.
+  const std::vector<std::uint64_t> sizes = {4096,    5000,    64 << 10, 100000, 256 << 10,
+                                            4096,    1 << 20, 1536 << 10, 3 << 20, 4 << 20,
+                                            12 << 10, 2 << 20, 256 << 10, 700 << 10, 4096};
+  BufferPool pool(64 << 20, 4096, GetParam());
+  std::vector<Buffer> leases;
+  for (std::uint64_t n : sizes) {
+    auto b = pool.acquire(n);
+    ASSERT_TRUE(b.is_ok());
+    ASSERT_GE(b.value().size(), n);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.value().data()) % 64, 0u);
+    leases.push_back(std::move(b).value());
+  }
+  for (std::size_t i = 0; i < leases.size(); ++i) {
+    std::memset(leases[i].data(), static_cast<int>(i + 1), leases[i].size());
+  }
+  for (std::size_t i = 0; i < leases.size(); ++i) {
+    const std::byte want = static_cast<std::byte>(i + 1);
+    EXPECT_TRUE(std::all_of(leases[i].data(), leases[i].data() + leases[i].size(),
+                            [&](std::byte b) { return b == want; }))
+        << "lease " << i << " was overwritten";
+  }
+  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> ranges;
+  for (const Buffer& b : leases) {
+    const auto start = reinterpret_cast<std::uintptr_t>(b.data());
+    ranges.emplace_back(start, start + b.size());
+  }
+  std::sort(ranges.begin(), ranges.end());
+  for (std::size_t i = 1; i < ranges.size(); ++i) {
+    EXPECT_LE(ranges[i - 1].second, ranges[i].first) << "leases overlap";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, ArenaPolicy,
+                         ::testing::Values(SizeClassPolicy::pow2, SizeClassPolicy::quarter),
+                         [](const auto& pinfo) {
+                           return pinfo.param == SizeClassPolicy::pow2 ? "Pow2" : "Quarter";
+                         });
+
+TEST(BufferPool, DestructionUnmapsEveryChunk) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<std::uintptr_t> pages;
+  pages.reserve(16);
+  {
+    BufferPool pool(16 << 20);
+    for (std::uint64_t n : {std::uint64_t{4096}, std::uint64_t{256} << 10,
+                            std::uint64_t{1} << 20, std::uint64_t{4} << 20}) {
+      auto b = pool.acquire(n);
+      ASSERT_TRUE(b.is_ok());
+      std::memset(b.value().data(), 0x5a, b.value().size());  // fault the pages in
+      const auto start = reinterpret_cast<std::uintptr_t>(b.value().data());
+      pages.push_back(start & ~(page - 1));
+      pages.push_back((start + b.value().size() - 1) & ~(page - 1));
+    }  // each lease returns to its free list, still mapped
+  }
+  // mincore(2) fails with ENOMEM on addresses that are no longer mapped.
+  unsigned char resident = 0;
+  for (std::uintptr_t p : pages) {
+    errno = 0;
+    EXPECT_EQ(::mincore(reinterpret_cast<void*>(p), page, &resident), -1);
+    EXPECT_EQ(errno, ENOMEM) << "page still mapped after the pool died";
+  }
+}
+
+#ifdef IOFWD_TEST_ASAN
+TEST(BufferPool, ReleasedAndUncarvedArenaBytesArePoisoned) {
+  BufferPool pool(1 << 20);
+  std::byte* p = nullptr;
+  {
+    auto b = pool.acquire(8192);
+    ASSERT_TRUE(b.is_ok());
+    p = b.value().data();
+    EXPECT_EQ(__asan_region_is_poisoned(p, 8192), nullptr);
+    // Bytes past the lease have not been carved yet.
+    EXPECT_TRUE(__asan_address_is_poisoned(p + 8192));
+  }
+  // Free-listed: a read through the released lease would trip ASan.
+  EXPECT_TRUE(__asan_address_is_poisoned(p));
+  EXPECT_TRUE(__asan_address_is_poisoned(p + 8191));
+  auto again = pool.acquire(8192);
+  ASSERT_TRUE(again.is_ok());
+  ASSERT_EQ(again.value().data(), p);
+  EXPECT_EQ(__asan_region_is_poisoned(p, 8192), nullptr);
+}
+#endif
 
 }  // namespace
 }  // namespace iofwd::rt

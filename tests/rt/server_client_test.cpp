@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <map>
 #include <thread>
 
 #include "core/units.hpp"
@@ -268,6 +270,131 @@ TEST(Rt, StopIsIdempotentAndJoinsThreads) {
   // Client calls now fail cleanly instead of hanging.
   const auto data = pattern(4096, 14);
   EXPECT_FALSE(tc.client().write(1, 0, data).is_ok());
+}
+
+// --------------------------------------------------------------------------
+// Direct receive (DESIGN.md §13): write payloads are read straight into
+// their BML lease. A 1 MiB write, a 4 KiB write and a read go out back to
+// back, without waiting for replies, so frame boundaries fall wherever the
+// socket splits them.
+// --------------------------------------------------------------------------
+
+constexpr std::uint64_t kBigWrite = 1_MiB;
+constexpr std::uint64_t kSmallWrite = 4_KiB;
+
+void append_frame(std::vector<std::byte>& wire, OpCode op, std::uint64_t seq,
+                  std::uint64_t offset, std::span<const std::byte> payload,
+                  std::uint64_t payload_len) {
+  FrameHeader h;
+  h.type = MsgType::request;
+  h.op = op;
+  h.version = 1;
+  h.fd = op == OpCode::hello ? -1 : 1;
+  h.seq = seq;
+  h.offset = offset;
+  h.payload_len = payload_len;
+  if (!payload.empty()) h.stamp_payload_crc(payload);
+  const std::size_t at = wire.size();
+  wire.resize(at + FrameHeader::kWireSize);
+  h.encode(std::span<std::byte, FrameHeader::kWireSize>(wire.data() + at,
+                                                         FrameHeader::kWireSize));
+  wire.insert(wire.end(), payload.begin(), payload.end());
+}
+
+// hello (v1, so payload CRCs are checked), open "f" as fd 1, the two writes,
+// then a read of both: seqs 1..5.
+std::vector<std::byte> back_to_back_requests(std::span<const std::byte> big,
+                                             std::span<const std::byte> small) {
+  std::vector<std::byte> wire;
+  const auto path = std::as_bytes(std::span("f", 1));
+  append_frame(wire, OpCode::hello, 1, 0, {}, 0);
+  append_frame(wire, OpCode::open, 2, 0, path, path.size());
+  append_frame(wire, OpCode::write, 3, 0, big, big.size());
+  append_frame(wire, OpCode::write, 4, kBigWrite, small, small.size());
+  append_frame(wire, OpCode::read, 5, 0, {}, kBigWrite + kSmallWrite);
+  return wire;
+}
+
+// A socket with its readiness fds hidden: the server serves it from a
+// blocking receiver thread instead of a lane.
+class BlockingOnly final : public ByteStream {
+ public:
+  explicit BlockingOnly(std::unique_ptr<ByteStream> s) : s_(std::move(s)) {}
+  Status read_exact(void* buf, std::size_t n) override { return s_->read_exact(buf, n); }
+  Status write_all(const void* buf, std::size_t n) override { return s_->write_all(buf, n); }
+  void close() override { s_->close(); }
+
+ private:
+  std::unique_ptr<ByteStream> s_;
+};
+
+class DirectReceiveOverSocket : public ::testing::TestWithParam<bool> {};
+
+TEST_P(DirectReceiveOverSocket, BackToBackWritesAndReadOverSocketpairAreByteExact) {
+  const bool lane = GetParam();
+  auto pair = SocketTransport::make_socketpair();
+  ASSERT_TRUE(pair.is_ok());
+  auto [server_end, client_end] = std::move(pair).value();
+  MemBackend mem;
+  IonServer server(std::make_unique<testsupport::BorrowedBackend>(mem), {});
+  if (lane) {
+    server.serve(std::move(server_end));
+  } else {
+    server.serve(std::make_unique<BlockingOnly>(std::move(server_end)));
+  }
+
+  const auto big = pattern(kBigWrite, 21);
+  const auto small = pattern(kSmallWrite, 22);
+  const auto wire = back_to_back_requests(big, small);
+  // The requests outgrow the socket buffer, so send them from a second
+  // thread while this one collects replies. The server keeps reading while
+  // its replies queue, so the sender finishes even if an assertion below
+  // returns early.
+  std::jthread sender(
+      [&] { EXPECT_TRUE(client_end->write_all(wire.data(), wire.size()).is_ok()); });
+  std::map<std::uint64_t, std::pair<FrameHeader, std::vector<std::byte>>> replies;
+  while (replies.size() < 5) {
+    std::array<std::byte, FrameHeader::kWireSize> hdr{};
+    ASSERT_TRUE(client_end->read_exact(hdr.data(), hdr.size()).is_ok());
+    auto h = FrameHeader::decode(std::span<const std::byte, FrameHeader::kWireSize>(hdr));
+    ASSERT_TRUE(h.is_ok()) << h.status().to_string();
+    std::vector<std::byte> payload(h.value().payload_len);
+    ASSERT_TRUE(client_end->read_exact(payload.data(), payload.size()).is_ok());
+    EXPECT_TRUE(h.value().payload_crc_ok(payload));
+    replies.emplace(h.value().seq, std::make_pair(h.value(), std::move(payload)));
+  }
+  sender.join();
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) {
+    ASSERT_EQ(replies.count(seq), 1u) << "seq " << seq;
+    EXPECT_EQ(replies[seq].first.status, 0) << "seq " << seq;
+  }
+  std::vector<std::byte> expect = big;
+  expect.insert(expect.end(), small.begin(), small.end());
+  EXPECT_EQ(replies[5].second, expect);
+  EXPECT_EQ(server.metrics().counter("server.integrity.payload_crc_errors"), 0u);
+  client_end->close();
+  server.stop();
+  EXPECT_EQ(mem.snapshot("f"), expect);
+}
+
+INSTANTIATE_TEST_SUITE_P(Receivers, DirectReceiveOverSocket, ::testing::Bool(),
+                         [](const auto& pinfo) { return pinfo.param ? "Lane" : "BlockingThread"; });
+
+TEST(DirectReceive, FeedBytesLandsBackToBackWritesByteExact) {
+  // feed_bytes pumps the same byte stream through the blocking receiver
+  // loop inline; its replies are swallowed, so check the backend.
+  MemBackend mem;
+  IonServer server(std::make_unique<testsupport::BorrowedBackend>(mem), {});
+  const auto big = pattern(kBigWrite, 23);
+  const auto small = pattern(kSmallWrite, 24);
+  const auto wire = back_to_back_requests(big, small);
+  server.feed_bytes(wire);
+  server.stop();
+  std::vector<std::byte> expect = big;
+  expect.insert(expect.end(), small.begin(), small.end());
+  EXPECT_EQ(mem.snapshot("f"), expect);
+  EXPECT_EQ(server.metrics().counter("server.integrity.payload_crc_errors"), 0u);
+  EXPECT_EQ(server.metrics().counter("server.bytes_in"), kBigWrite + kSmallWrite);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <signal.h>
 
 #include <array>
 #include <cstring>
@@ -72,6 +73,24 @@ TEST(InProcTransport, CloseUnblocksReader) { close_unblocks_reader_test(make_inp
 TEST(SocketTransport, RoundTrip) { round_trip_test(make_sockets); }
 TEST(SocketTransport, LargeTransfer) { large_transfer_test(make_sockets); }
 TEST(SocketTransport, CloseUnblocksReader) { close_unblocks_reader_test(make_sockets); }
+
+TEST(SocketTransport, WriteAllToClosedPeerReturnsShutdownWithoutSigpipe) {
+  // Run with SIGPIPE at its default action (terminate), so a raised SIGPIPE
+  // would kill the test binary.
+  struct sigaction dfl {};
+  dfl.sa_handler = SIG_DFL;
+  struct sigaction saved {};
+  ASSERT_EQ(::sigaction(SIGPIPE, &dfl, &saved), 0);
+  auto [a, b] = make_sockets();
+  b.reset();  // the peer's fd is closed
+  const std::vector<std::byte> buf(64 * 1024);
+  EXPECT_EQ(a->write_all(buf.data(), buf.size()).code(), Errc::shutdown);
+  EXPECT_EQ(a->write_all(buf.data(), buf.size()).code(), Errc::shutdown);
+  // Survived, and not because a handler was installed behind our back.
+  struct sigaction now {};
+  ASSERT_EQ(::sigaction(SIGPIPE, &saved, &now), 0);
+  EXPECT_EQ(now.sa_handler, SIG_DFL);
+}
 
 TEST(InProcTransport, ManySmallMessagesInterleaved) {
   auto [a, b] = InProcTransport::make_pair(256);
