@@ -79,7 +79,9 @@ class Forwarder {
   // async mechanism before stopping a benchmark clock).
   virtual sim::Proc<void> drain();
 
-  // Stop worker processes (no-op for thread-per-CN mechanisms).
+  // Stop worker processes (no-op for thread-per-CN mechanisms). The workers
+  // exit once the engine runs their wake-ups, so call this and let the
+  // engine run dry before destroying a forwarder.
   virtual void shutdown() {}
 
   // Snapshot view assembled from the "fwd.*" registry metrics (deprecated

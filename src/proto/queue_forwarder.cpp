@@ -18,9 +18,14 @@ QueueForwarder::QueueForwarder(bgp::Machine& machine, bgp::Pset& pset, RunMetric
   for (int w = 0; w < cfg_.workers; ++w) {
     eng_.spawn(worker_loop(w));
   }
+  live_workers_ = cfg_.workers;
 }
 
-QueueForwarder::~QueueForwarder() { shutdown(); }
+// Waking the workers from here would leave wake-ups for the frames of an
+// object that is going away; the owner shuts down and drains instead.
+QueueForwarder::~QueueForwarder() {
+  assert(live_workers_ == 0 && "call shutdown() and run the engine dry before destruction");
+}
 
 void QueueForwarder::shutdown() {
   if (!queue_.closed()) queue_.close();
@@ -240,6 +245,7 @@ sim::Proc<void> QueueForwarder::worker_loop(int worker_id) {
       eng_.spawn(finish_task(std::move(t)));
     }
   }
+  --live_workers_;
 }
 
 sim::Proc<void> QueueForwarder::finish_task(QTask t) {

@@ -63,6 +63,7 @@ class QueueForwarder final : public Forwarder {
   Bml bml_;
   SimTaskQueue<QTask> queue_;
   std::uint64_t outstanding_ = 0;
+  int live_workers_ = 0;  // worker_loop frames that have not returned
   std::vector<std::shared_ptr<sim::SimEvent>> completion_ticks_;
 };
 

@@ -1,50 +1,141 @@
 #include "sim/engine.hpp"
 
+#include <cinttypes>
+#include <cstdio>
+#include <exception>
 #include <limits>
 #include <utility>
 
-#include "core/log.hpp"
 #include "sim/process.hpp"
 
 namespace iofwd::sim {
 
+namespace {
+
+constexpr std::uint64_t kMaxSeq = (std::uint64_t{1} << (64 - Engine::kSlotBits)) - 1;
+constexpr std::size_t kMaxSlots = std::size_t{1} << Engine::kSlotBits;
+
+// Fail fast, like an exception escaping a detached process: a simulation
+// that broke one of the engine's invariants has no trustworthy result.
+[[noreturn]] void fail(const char* what) {
+  std::fprintf(stderr, "iofwd::sim: %s\n", what);
+  std::terminate();
+}
+
+}  // namespace
+
+Engine::Slot& Engine::add(SimTime t) {
+  if (t < now_) {
+    std::fprintf(stderr,
+                 "iofwd::sim: cannot schedule into the past (t=%" PRId64 " ns < now()=%" PRId64
+                 " ns)\n",
+                 t, now_);
+    std::terminate();
+  }
+  if (next_seq_ > kMaxSeq) fail("event sequence numbers exhausted");
+  std::uint32_t s;
+  if (!free_.empty()) {
+    s = free_.back();
+    free_.pop_back();
+  } else {
+    if (slots_.size() == kMaxSlots) fail("too many pending events");
+    s = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  const EventId id = (next_seq_++ << kSlotBits) | s;
+  slots_[s].id = id;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Entry{t, id});
+  return slots_[s];
+}
+
 Engine::EventId Engine::schedule_at(SimTime t, Callback cb) {
-  assert(t >= now_ && "cannot schedule into the past");
-  const EventId id = next_id_++;
-  heap_.push(Ev{t, id});
-  callbacks_.emplace(id, std::move(cb));
-  return id;
+  Slot& slot = add(t);
+  slot.cb = std::move(cb);
+  return slot.id;
+}
+
+Engine::EventId Engine::schedule_resume_at(SimTime t, std::coroutine_handle<> h) {
+  Slot& slot = add(t);
+  slot.h = h;
+  return slot.id;
 }
 
 void Engine::cancel(EventId id) {
-  if (callbacks_.erase(id) > 0) {
-    cancelled_.insert(id);  // heap entry removed lazily in fire_next
-  }
+  const std::uint32_t s = slot_of(id);
+  if (id == 0 || s >= slots_.size() || slots_[s].id != id) return;  // fired or unknown
+  erase_at(slots_[s].pos);
+  release(s);
 }
 
-void Engine::spawn(Proc<void> p) {
-  auto h = p.release_detached();
-  schedule_at(now_, [h] { h.resume(); });
+void Engine::spawn(Proc<void> p) { schedule_resume_at(now_, p.release_detached()); }
+
+void Engine::release(std::uint32_t s) {
+  Slot& slot = slots_[s];
+  slot.id = 0;
+  slot.h = {};
+  // Destroyed once the slot is free again, so a captured object whose
+  // destructor schedules or cancels sees a consistent table.
+  Callback dead;
+  dead.swap(slot.cb);
+  free_.push_back(s);
+}
+
+void Engine::sift_up(std::size_t pos, Entry e) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!before(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, e);
+}
+
+void Engine::sift_down(std::size_t pos, Entry e) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], e)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, e);
+}
+
+void Engine::erase_at(std::size_t pos) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // it was the last entry
+  if (pos > 0 && before(last, heap_[(pos - 1) / 2])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
+  }
 }
 
 bool Engine::fire_next(SimTime limit) {
-  while (!heap_.empty()) {
-    const Ev ev = heap_.top();
-    if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-      heap_.pop();
-      cancelled_.erase(it);
-      continue;
-    }
-    if (ev.t > limit) return false;
-    heap_.pop();
-    auto node = callbacks_.extract(ev.id);
-    assert(!node.empty());
-    now_ = ev.t;
-    ++processed_;
-    node.mapped()();
-    return true;
+  if (heap_.empty() || heap_.front().t > limit) return false;
+  const Entry ev = heap_.front();
+  const std::uint32_t s = slot_of(ev.id);
+  erase_at(0);
+  now_ = ev.t;
+  ++processed_;
+  // Free the slot before running the event: it may schedule (and so reuse
+  // the slot or grow the table), and cancelling its own id is a no-op.
+  Slot& slot = slots_[s];
+  slot.id = 0;
+  if (const std::coroutine_handle<> h = std::exchange(slot.h, {})) {
+    free_.push_back(s);
+    h.resume();
+  } else {
+    Callback cb;
+    cb.swap(slot.cb);
+    free_.push_back(s);
+    cb();
   }
-  return false;
+  return true;
 }
 
 std::uint64_t Engine::run() {

@@ -5,14 +5,20 @@
 // see process.hpp) suspended on an awaitable that scheduled a wake-up event
 // here. Execution is single-threaded and deterministic: ties in time are
 // broken by insertion sequence.
+//
+// Event storage is hash-free and, in steady state, allocation-free. Each
+// pending event lives in a slot of a table; freed slots are reused LIFO. An
+// EventId packs the scheduling sequence number above the slot index, so ids
+// are unique, increase in scheduling order, and find their slot without a
+// lookup. The heap is an indexed binary min-heap of {time, id}: every slot
+// knows its heap position, so cancel() removes the entry at once. A wake-up
+// of a coroutine stores just its handle (schedule_resume_*); a Callback is
+// for everything else.
 #pragma once
 
-#include <cassert>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -25,7 +31,10 @@ class Proc;
 class Engine {
  public:
   using Callback = std::function<void()>;
+  // (sequence << kSlotBits) | slot. Sequence numbers start at 1, so 0 is
+  // never a valid id.
   using EventId = std::uint64_t;
+  static constexpr int kSlotBits = 24;
 
   Engine() = default;
   Engine(const Engine&) = delete;
@@ -33,8 +42,9 @@ class Engine {
 
   [[nodiscard]] SimTime now() const { return now_; }
 
-  // Schedule `cb` at absolute simulated time `t` (>= now). Returns an id
-  // usable with cancel().
+  // Schedule `cb` at absolute simulated time `t`. Returns an id usable with
+  // cancel(). Scheduling into the past (t < now()) is a programming error
+  // and terminates the simulation, in every build type.
   EventId schedule_at(SimTime t, Callback cb);
 
   // Schedule `cb` `delay` nanoseconds from now (delay < 0 is clamped to 0).
@@ -42,8 +52,17 @@ class Engine {
     return schedule_at(now_ + (delay > 0 ? delay : 0), std::move(cb));
   }
 
-  // Lazily cancel a scheduled event. Cancelling an already-fired or unknown
-  // id is a no-op.
+  // Resume the suspended coroutine `h` at time `t` (same rules as
+  // schedule_at). The slot holds the handle itself: no closure is built.
+  EventId schedule_resume_at(SimTime t, std::coroutine_handle<> h);
+  EventId schedule_resume_after(SimTime delay, std::coroutine_handle<> h) {
+    return schedule_resume_at(now_ + (delay > 0 ? delay : 0), h);
+  }
+
+  // Cancel a scheduled event: its heap entry is removed now and its
+  // callback (with anything it captured) is destroyed now. Cancelling an
+  // already-fired, already-cancelled or unknown id is a no-op, even if the
+  // event's slot has since been reused.
   void cancel(EventId id);
 
   // Start a detached process at the current simulated time. The coroutine
@@ -64,30 +83,49 @@ class Engine {
   [[nodiscard]] bool stopped() const { return stopped_; }
 
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
-  [[nodiscard]] std::size_t events_pending() const { return heap_.size() - cancelled_.size(); }
+  [[nodiscard]] std::size_t events_pending() const { return heap_.size(); }
 
  private:
-  struct Ev {
+  struct Entry {
     SimTime t;
     EventId id;
   };
-  struct EvCmp {
-    bool operator()(const Ev& a, const Ev& b) const {
-      return a.t != b.t ? a.t > b.t : a.id > b.id;
-    }
+  // A pending event. Exactly one of `h` and `cb` is set. A free slot has
+  // id 0 and sits on free_.
+  struct Slot {
+    EventId id = 0;
+    std::uint32_t pos = 0;  // index of this event's entry in heap_
+    std::coroutine_handle<> h{};
+    Callback cb;
   };
 
+  static bool before(const Entry& a, const Entry& b) {
+    return a.t != b.t ? a.t < b.t : a.id < b.id;
+  }
+  static std::uint32_t slot_of(EventId id) {
+    return static_cast<std::uint32_t>(id & ((EventId{1} << kSlotBits) - 1));
+  }
+
+  // Take a slot, give it a fresh id and push its heap entry at time `t`.
+  Slot& add(SimTime t);
+  // Remove heap_[pos], restoring the heap property.
+  void erase_at(std::size_t pos);
+  void release(std::uint32_t slot);
+  void place(std::size_t pos, const Entry& e) {
+    heap_[pos] = e;
+    slots_[slot_of(e.id)].pos = static_cast<std::uint32_t>(pos);
+  }
+  void sift_up(std::size_t pos, Entry e);
+  void sift_down(std::size_t pos, Entry e);
   bool fire_next(SimTime limit);
 
   SimTime now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   bool stopped_ = false;
   std::uint64_t processed_ = 0;
-  std::priority_queue<Ev, std::vector<Ev>, EvCmp> heap_;
-  // Callbacks are stored out-of-band so cancel() can drop them eagerly
-  // (freeing captured resources) while the heap entry dies lazily.
-  std::unordered_map<EventId, Callback> callbacks_;
-  std::unordered_set<EventId> cancelled_;
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
 };
 
 }  // namespace iofwd::sim

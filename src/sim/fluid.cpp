@@ -79,22 +79,19 @@ void FluidResource::on_timer() {
   timer_armed_ = false;
   advance();
 
-  // Complete every flow whose remaining work is (numerically) zero.
-  std::vector<std::coroutine_handle<>> done;
-  auto it = flows_.begin();
-  while (it != flows_.end()) {
-    if (it->remaining <= kEpsilonUnits) {
-      total_served_ += it->remaining;  // account the residue
-      done.push_back(it->h);
-      it = flows_.erase(it);
+  // Complete every flow whose remaining work is (numerically) zero, in
+  // arrival order, and keep the survivors in arrival order.
+  std::size_t kept = 0;
+  for (const Flow& f : flows_) {
+    if (f.remaining <= kEpsilonUnits) {
+      total_served_ += f.remaining;  // account the residue
+      eng_.schedule_resume_after(0, f.h);
     } else {
-      ++it;
+      flows_[kept++] = f;
     }
   }
-  assert(!done.empty() && "completion timer fired with no completed flow");
-  for (auto h : done) {
-    eng_.schedule_after(0, [h] { h.resume(); });
-  }
+  assert(kept < flows_.size() && "completion timer fired with no completed flow");
+  flows_.resize(kept);
   reschedule();
 }
 

@@ -27,7 +27,7 @@ struct Delay {
 
   bool await_ready() const noexcept { return d <= 0; }
   void await_suspend(std::coroutine_handle<> h) {
-    eng.schedule_after(d, [h] { h.resume(); });
+    eng.schedule_resume_after(d, h);
   }
   void await_resume() const noexcept {}
 };
@@ -87,7 +87,7 @@ class SimSemaphore {
       auto w = waiters_.front();
       waiters_.pop_front();
       count_ -= w.need;  // reserve now so later acquirers cannot barge
-      eng_.schedule_after(0, [h = w.h] { h.resume(); });
+      eng_.schedule_resume_after(0, w.h);
     }
   }
 
@@ -151,7 +151,7 @@ class SimEvent {
   void set() {
     if (set_) return;
     set_ = true;
-    for (auto h : waiters_) eng_.schedule_after(0, [h] { h.resume(); });
+    for (auto h : waiters_) eng_.schedule_resume_after(0, h);
     waiters_.clear();
   }
   [[nodiscard]] bool is_set() const { return set_; }
@@ -231,7 +231,7 @@ class SimChannel {
     while (!waiters_.empty()) {
       auto h = waiters_.front();
       waiters_.pop_front();
-      eng_.schedule_after(0, [h] { h.resume(); });
+      eng_.schedule_resume_after(0, h);
     }
   }
 
@@ -248,7 +248,7 @@ class SimChannel {
       auto h = waiters_.front();
       waiters_.pop_front();
       ++reserved_;
-      eng_.schedule_after(0, [h] { h.resume(); });
+      eng_.schedule_resume_after(0, h);
     }
   }
 
@@ -274,7 +274,7 @@ class WaitGroup {
     assert(n_ > 0);
     if (--n_ == 0 && waiter_) {
       auto h = std::exchange(waiter_, {});
-      eng_.schedule_after(0, [h] { h.resume(); });
+      eng_.schedule_resume_after(0, h);
     }
   }
 

@@ -11,16 +11,25 @@
 namespace iofwd::proto {
 namespace {
 
+// Owns the forwarders it makes and tears them down the way the workload
+// runners in src/wl do: shutdown(), then run the engine dry so parked
+// workers exit.
 struct Fixture {
   sim::Engine eng;
   bgp::Machine machine;
   RunMetrics metrics;
+  std::vector<std::unique_ptr<Forwarder>> made;
 
   explicit Fixture(bgp::MachineConfig cfg = bgp::MachineConfig::intrepid())
       : machine(eng, cfg) {}
+  ~Fixture() {
+    for (auto& f : made) f->shutdown();
+    eng.run();
+  }
 
-  std::unique_ptr<Forwarder> make(Mechanism m, ForwarderConfig fc = {}) {
-    return make_forwarder(m, machine, machine.pset(0), metrics, std::move(fc));
+  Forwarder* make(Mechanism m, ForwarderConfig fc = {}) {
+    made.push_back(make_forwarder(m, machine, machine.pset(0), metrics, std::move(fc)));
+    return made.back().get();
   }
 };
 
@@ -241,7 +250,7 @@ TEST(AsyncStaging, BmlExhaustionBlocksStaging) {
   fx.eng.run();
   EXPECT_TRUE(st.is_ok());
   EXPECT_EQ(fx.metrics.bytes_delivered, 8_MiB);
-  auto* qf = dynamic_cast<QueueForwarder*>(f.get());
+  auto* qf = dynamic_cast<QueueForwarder*>(f);
   ASSERT_NE(qf, nullptr);
   EXPECT_GT(qf->bml().blocked_acquires(), 0u) << "staging must have blocked on the pool";
   EXPECT_EQ(qf->bml().in_use(), 0u);

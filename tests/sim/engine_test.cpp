@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <coroutine>
+#include <exception>
+#include <memory>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "sim/process.hpp"
+#include "testsupport/testsupport.hpp"
 
 namespace iofwd::sim {
 namespace {
@@ -128,6 +137,439 @@ TEST(Engine, ManyEventsStressOrder) {
   eng.run();
   EXPECT_TRUE(monotone);
   EXPECT_EQ(eng.events_processed(), 10000u);
+}
+
+TEST(Engine, CancelDropsPendingEventAndItsCaptureAtOnce) {
+  Engine eng;
+  auto held = std::make_shared<int>(7);
+  const auto id = eng.schedule_at(10, [held] {});
+  eng.schedule_at(20, [] {});
+  EXPECT_EQ(held.use_count(), 2);
+  EXPECT_EQ(eng.events_pending(), 2u);
+  eng.cancel(id);
+  EXPECT_EQ(held.use_count(), 1) << "cancel must destroy the callback now";
+  EXPECT_EQ(eng.events_pending(), 1u);
+  eng.cancel(id);  // twice: no-op
+  EXPECT_EQ(eng.events_pending(), 1u);
+  EXPECT_EQ(eng.run(), 1u);
+}
+
+TEST(Engine, StaleIdDoesNotCancelTheEventThatReusedItsSlot) {
+  Engine eng;
+  const auto old_id = eng.schedule_at(5, [] {});
+  eng.cancel(old_id);
+  bool fired = false;
+  const auto new_id = eng.schedule_at(5, [&] { fired = true; });
+  constexpr Engine::EventId kSlotMask = (Engine::EventId{1} << Engine::kSlotBits) - 1;
+  ASSERT_EQ(old_id & kSlotMask, new_id & kSlotMask) << "freed slot should be reused";
+  ASSERT_LT(old_id, new_id) << "ids grow in scheduling order";
+  eng.cancel(old_id);
+  eng.run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(Engine, ScheduleIntoThePastFailsFastInEveryBuild) {
+  EXPECT_DEATH(
+      {
+        Engine eng;
+        eng.run_until(10);
+        eng.schedule_at(5, [] {});
+      },
+      "cannot schedule into the past");
+  EXPECT_DEATH(
+      {
+        Engine eng;
+        eng.run_until(10);
+        eng.schedule_resume_at(9, std::noop_coroutine());
+      },
+      "cannot schedule into the past");
+}
+
+// ---------------------------------------------------------------------------
+// Model-based check of the event core, in the style of sched_model_test.
+//
+// Seeded random streams of schedule / resume / cancel / run_until / run ops
+// drive the real Engine and a reference model side by side. The model is a
+// vector of pending events kept sorted by (time, scheduling sequence); the
+// engine must fire exactly its front, at exactly its time. Events carry
+// actions to perform when they fire (nested schedules, cancelling
+// themselves or a same-time sibling), so re-entrant use is covered too.
+// After every op, and inside every fired event, now(), events_processed()
+// and events_pending() must agree with the model. A failing stream is
+// shrunk greedily and printed with its seed; replay with
+// IOFWD_TEST_SEED=0x...
+//
+// Cancels pick their victim when they run (the i-th pending event, the
+// i-th already-fired or cancelled one, ...) and are skipped when nothing
+// qualifies, so every subsequence of a stream is well-formed and shrinking
+// is sound.
+// ---------------------------------------------------------------------------
+
+enum class Kind : std::uint8_t {
+  schedule_at,     // callback at now + dt
+  schedule_after,  // callback after dt (dt < 0 clamps to now)
+  resume_at,       // coroutine resume at now + dt
+  resume_after,    // coroutine resume after dt
+  cancel_pending,  // the pick-th pending event
+  cancel_dead,     // the pick-th fired or cancelled event (its slot may be reused)
+  cancel_unknown,  // an id the engine never issued
+  cancel_self,     // in an event: the event that is running
+  cancel_sibling,  // in an event: the pick-th pending event at the current time
+  run_until,       // top level: run to now + dt
+  run,             // top level: run dry
+};
+
+const char* name(Kind k) {
+  switch (k) {
+    case Kind::schedule_at: return "schedule_at";
+    case Kind::schedule_after: return "schedule_after";
+    case Kind::resume_at: return "schedule_resume_at";
+    case Kind::resume_after: return "schedule_resume_after";
+    case Kind::cancel_pending: return "cancel(pending)";
+    case Kind::cancel_dead: return "cancel(fired or cancelled)";
+    case Kind::cancel_unknown: return "cancel(unknown)";
+    case Kind::cancel_self: return "cancel(self)";
+    case Kind::cancel_sibling: return "cancel(same-time sibling)";
+    case Kind::run_until: return "run_until";
+    case Kind::run: return "run";
+  }
+  return "?";
+}
+
+struct Op {
+  Kind kind = Kind::run;
+  SimTime dt = 0;
+  std::uint64_t pick = 0;
+  std::vector<Op> on_fire;  // schedules only: what the event does when it fires
+};
+
+bool is_schedule(Kind k) { return k <= Kind::resume_after; }
+bool is_resume(Kind k) { return k == Kind::resume_at || k == Kind::resume_after; }
+
+void describe(std::ostream& os, const Op& op, int depth) {
+  os << std::string(static_cast<std::size_t>(2 + 2 * depth), ' ') << name(op.kind);
+  if (is_schedule(op.kind) || op.kind == Kind::run_until) os << " dt=" << op.dt;
+  if (!is_schedule(op.kind) && op.kind != Kind::run_until && op.kind != Kind::run) {
+    os << " pick=" << op.pick;
+  }
+  os << "\n";
+  for (const Op& n : op.on_fire) describe(os, n, depth + 1);
+}
+
+// A coroutine that, when the engine resumes it, reports the firing.
+struct Resumer {
+  struct promise_type {
+    Resumer get_return_object() {
+      return Resumer{std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() { std::terminate(); }
+  };
+  explicit Resumer(std::coroutine_handle<promise_type> handle) : h(handle) {}
+  Resumer(Resumer&& o) noexcept : h(std::exchange(o.h, {})) {}
+  Resumer& operator=(Resumer&&) = delete;
+  ~Resumer() {
+    if (h) h.destroy();
+  }
+  std::coroutine_handle<promise_type> h;
+};
+
+// How often the random streams hit the cases that are easy to miss.
+struct Coverage {
+  std::uint64_t stale_reused = 0;  // cancel of a dead id whose slot is live again
+  std::uint64_t self = 0;
+  std::uint64_t sibling = 0;
+  std::uint64_t nested = 0;
+  std::uint64_t resumes = 0;
+};
+
+class Harness {
+ public:
+  explicit Harness(Coverage& cov) : cov_(cov) {}
+
+  // Replays `ops`, then runs dry. Returns the first disagreement.
+  std::optional<std::string> replay(const std::vector<Op>& ops) {
+    for (std::size_t i = 0; i < ops.size() && !error_; ++i) {
+      where_ = "op #" + std::to_string(i) + " " + name(ops[i].kind);
+      apply(ops[i]);
+      check_counters();
+    }
+    if (!error_) {
+      where_ = "final run()";
+      apply(Op{});
+      check_counters();
+    }
+    return error_;
+  }
+
+  void fired(std::size_t tag) {
+    if (error_) return;
+    if (pending_.empty()) {
+      return fail("engine fired event #" + std::to_string(tag) + " but the model has none");
+    }
+    const Pending want = pending_.front();
+    if (want.tag != tag || eng_.now() != want.t) {
+      return fail("engine fired event #" + std::to_string(tag) + " at t=" +
+                  std::to_string(eng_.now()) + ", model wants #" + std::to_string(want.tag) +
+                  " at t=" + std::to_string(want.t));
+    }
+    pending_.erase(pending_.begin());
+    now_ = want.t;
+    ++processed_;
+    dead_.push_back(tag);
+    check_counters();
+    const std::optional<std::size_t> outer = std::exchange(running_, tag);
+    for (const Op& op : *actions_[tag]) {
+      if (error_) break;
+      ++cov_.nested;
+      apply(op);
+      check_counters();
+    }
+    running_ = outer;
+  }
+
+ private:
+  struct Pending {
+    SimTime t;
+    std::size_t tag;  // scheduling order, so (t, tag) is the engine's order
+  };
+
+  static Resumer resumer(Harness& hs, std::size_t tag) {
+    hs.fired(tag);
+    co_return;
+  }
+
+  void apply(const Op& op) {
+    switch (op.kind) {
+      case Kind::schedule_at:
+      case Kind::schedule_after:
+      case Kind::resume_at:
+      case Kind::resume_after:
+        return schedule(op);
+      case Kind::cancel_pending:
+        if (!pending_.empty()) cancel_tag(pending_[op.pick % pending_.size()].tag);
+        return;
+      case Kind::cancel_dead:
+        if (!dead_.empty()) cancel_dead(dead_[op.pick % dead_.size()]);
+        return;
+      case Kind::cancel_unknown: {
+        // Never issued: id 0, a slot past the table, or a sequence number
+        // far beyond any the stream reaches, on a slot that may be live.
+        const Engine::EventId far = Engine::EventId{1} << 62;
+        const Engine::EventId ids[] = {0, (Engine::EventId{1} << Engine::kSlotBits) - 1,
+                                       far | (op.pick % 8)};
+        eng_.cancel(ids[op.pick % 3]);
+        return;
+      }
+      case Kind::cancel_self:
+        if (running_) {
+          ++cov_.self;
+          cancel_dead(*running_);
+        }
+        return;
+      case Kind::cancel_sibling: {
+        std::vector<std::size_t> same;
+        for (const Pending& p : pending_) {
+          if (p.t == now_) same.push_back(p.tag);
+        }
+        if (same.empty()) return;
+        ++cov_.sibling;
+        cancel_tag(same[op.pick % same.size()]);
+        return;
+      }
+      case Kind::run_until: {
+        const SimTime limit = now_ + op.dt;
+        const std::uint64_t before = processed_;
+        const std::uint64_t n = eng_.run_until(limit);
+        if (error_) return;
+        if (!pending_.empty() && pending_.front().t <= limit) {
+          return fail("run_until(" + std::to_string(limit) + ") left event #" +
+                      std::to_string(pending_.front().tag) + " at t=" +
+                      std::to_string(pending_.front().t) + " unfired");
+        }
+        now_ = std::max(now_, limit);
+        if (n != processed_ - before) return fail("run_until returned a wrong count");
+        return;
+      }
+      case Kind::run: {
+        const std::uint64_t before = processed_;
+        const std::uint64_t n = eng_.run();
+        if (error_) return;
+        if (!pending_.empty()) return fail("run() returned with events pending in the model");
+        if (n != processed_ - before) return fail("run returned a wrong count");
+        return;
+      }
+    }
+  }
+
+  void schedule(const Op& op) {
+    const bool absolute = op.kind == Kind::schedule_at || op.kind == Kind::resume_at;
+    const SimTime t = now_ + std::max<SimTime>(op.dt, 0);
+    const std::size_t tag = ids_.size();
+    actions_.push_back(&op.on_fire);
+    Engine::EventId id = 0;
+    if (is_resume(op.kind)) {
+      ++cov_.resumes;
+      frames_.push_back(resumer(*this, tag));
+      const std::coroutine_handle<> h = frames_.back().h;
+      id = absolute ? eng_.schedule_resume_at(t, h) : eng_.schedule_resume_after(op.dt, h);
+    } else {
+      auto cb = [this, tag] { fired(tag); };
+      id = absolute ? eng_.schedule_at(t, cb) : eng_.schedule_after(op.dt, cb);
+    }
+    if (!ids_.empty() && ids_.back() >= id) {
+      return fail("event ids are not increasing in scheduling order");
+    }
+    ids_.push_back(id);
+    const auto at = std::upper_bound(
+        pending_.begin(), pending_.end(), Pending{t, tag},
+        [](const Pending& a, const Pending& b) { return a.t != b.t ? a.t < b.t : a.tag < b.tag; });
+    pending_.insert(at, Pending{t, tag});
+  }
+
+  void cancel_tag(std::size_t tag) {
+    pending_.erase(std::find_if(pending_.begin(), pending_.end(),
+                                [&](const Pending& p) { return p.tag == tag; }));
+    dead_.push_back(tag);
+    eng_.cancel(ids_[tag]);
+  }
+
+  // The model does nothing; the engine must do nothing either.
+  void cancel_dead(std::size_t tag) {
+    constexpr Engine::EventId kSlotMask = (Engine::EventId{1} << Engine::kSlotBits) - 1;
+    for (const Pending& p : pending_) {
+      if ((ids_[p.tag] & kSlotMask) == (ids_[tag] & kSlotMask)) ++cov_.stale_reused;
+    }
+    eng_.cancel(ids_[tag]);
+  }
+
+  void check_counters() {
+    if (error_) return;
+    if (eng_.now() != now_) {
+      return fail("now() = " + std::to_string(eng_.now()) + ", model " + std::to_string(now_));
+    }
+    if (eng_.events_processed() != processed_) {
+      return fail("events_processed() = " + std::to_string(eng_.events_processed()) +
+                  ", model " + std::to_string(processed_));
+    }
+    if (eng_.events_pending() != pending_.size()) {
+      return fail("events_pending() = " + std::to_string(eng_.events_pending()) + ", model " +
+                  std::to_string(pending_.size()));
+    }
+  }
+
+  void fail(const std::string& what) {
+    if (!error_) error_ = where_ + ": " + what;
+    eng_.stop();
+  }
+
+  Coverage& cov_;
+  std::vector<Resumer> frames_;  // destroyed after eng_, whose slots may name them
+  Engine eng_;
+  SimTime now_ = 0;
+  std::uint64_t processed_ = 0;
+  std::vector<Pending> pending_;  // sorted by (t, tag)
+  std::vector<std::size_t> dead_;
+  std::vector<Engine::EventId> ids_;                 // by tag
+  std::vector<const std::vector<Op>*> actions_;      // by tag
+  std::optional<std::size_t> running_;
+  std::string where_;
+  std::optional<std::string> error_;
+};
+
+std::optional<std::string> run_stream(const std::vector<Op>& ops, Coverage& cov) {
+  Harness hs(cov);
+  return hs.replay(ops);
+}
+
+std::vector<Op> minimize(std::vector<Op> ops) {
+  Coverage ignored;
+  bool shrunk = true;
+  while (shrunk) {
+    shrunk = false;
+    for (std::size_t i = ops.size(); i-- > 0;) {
+      std::vector<Op> candidate = ops;
+      candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
+      if (run_stream(candidate, ignored).has_value()) {
+        ops = std::move(candidate);
+        shrunk = true;
+      }
+    }
+  }
+  return ops;
+}
+
+Op random_op(Rng& rng, int depth) {
+  Op op;
+  const std::uint64_t r = rng.below(100);
+  // Small time steps: many events share a time, so the sequence tie-break
+  // and same-time cancels get exercised.
+  if (depth == 0) {
+    op.kind = r < 18   ? Kind::schedule_at
+              : r < 30 ? Kind::schedule_after
+              : r < 42 ? Kind::resume_at
+              : r < 50 ? Kind::resume_after
+              : r < 62 ? Kind::cancel_pending
+              : r < 72 ? Kind::cancel_dead
+              : r < 76 ? Kind::cancel_unknown
+              : r < 94 ? Kind::run_until
+                       : Kind::run;
+  } else {
+    op.kind = r < 20   ? Kind::schedule_at
+              : r < 32 ? Kind::schedule_after
+              : r < 44 ? Kind::resume_at
+              : r < 52 ? Kind::resume_after
+              : r < 62 ? Kind::cancel_pending
+              : r < 72 ? Kind::cancel_dead
+              : r < 76 ? Kind::cancel_unknown
+              : r < 86 ? Kind::cancel_self
+                       : Kind::cancel_sibling;
+  }
+  op.pick = rng.next();
+  const bool after = op.kind == Kind::schedule_after || op.kind == Kind::resume_after;
+  op.dt = static_cast<SimTime>(rng.below(after ? 16 : 12)) - (after ? 4 : 0);
+  if (op.kind == Kind::run_until) op.dt = static_cast<SimTime>(rng.below(20));
+  if (is_schedule(op.kind) && depth < 2 && rng.below(100) < 35) {
+    const std::uint64_t n = 1 + rng.below(3);
+    for (std::uint64_t i = 0; i < n; ++i) op.on_fire.push_back(random_op(rng, depth + 1));
+  }
+  return op;
+}
+
+std::vector<Op> generate(std::uint64_t seed, std::size_t count) {
+  Rng rng(seed);
+  std::vector<Op> ops;
+  ops.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) ops.push_back(random_op(rng, 0));
+  return ops;
+}
+
+TEST(EngineModel, RandomStreamsMatchReferenceModel) {
+  const std::uint64_t seed = testsupport::test_seed("engine_model", 0xe7e47ull);
+  Rng salt(seed);
+  Coverage cov;
+  for (int round = 0; round < 60; ++round) {
+    const auto ops = generate(salt.next(), 200);
+    auto err = run_stream(ops, cov);
+    if (!err) continue;
+    const auto minimal = minimize(ops);
+    Coverage ignored;
+    std::ostringstream os;
+    os << "engine diverged from its model (round " << round << ", replay: IOFWD_TEST_SEED=0x"
+       << std::hex << seed << std::dec << ")\n"
+       << "failure: " << *run_stream(minimal, ignored) << "\n"
+       << "minimized to " << minimal.size() << " ops (of " << ops.size() << "):\n";
+    for (const auto& op : minimal) describe(os, op, 0);
+    FAIL() << os.str();
+  }
+  // The streams must reach the cases that are easy to miss.
+  EXPECT_GT(cov.stale_reused, 0u);
+  EXPECT_GT(cov.self, 0u);
+  EXPECT_GT(cov.sibling, 0u);
+  EXPECT_GT(cov.nested, 0u);
+  EXPECT_GT(cov.resumes, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+
 namespace iofwd::wl {
 namespace {
 
@@ -94,6 +96,34 @@ TEST(Stream, SmallMessagesAreSlower) {
   const double ts =
       run_stream(proto::Mechanism::zoid, cfg, {}, small).throughput_mib_s;
   EXPECT_LT(ts, tb) << "control-exchange overhead must gate small messages";
+}
+
+// The simulated trajectory is pinned, not just checked for determinism: a
+// reduced Fig. 9 point (64 CNs, 1 MiB, 4 workers, 10 iterations) must give
+// exactly these event counts and bit-exact throughputs. Any change to event
+// ordering or to the model's arithmetic shows up here; a deliberate model
+// change updates the table.
+TEST(Stream, GoldenFig9TrajectoryIsBitExact) {
+  struct Golden {
+    proto::Mechanism mech;
+    std::uint64_t events;
+    double mib_s;
+  };
+  const Golden golden[] = {
+      {proto::Mechanism::ciod, 56056, 385.42734383215736},
+      {proto::Mechanism::zoid, 53456, 425.70731253348248},
+      {proto::Mechanism::zoid_sched, 74600, 604.21014896866359},
+      {proto::Mechanism::zoid_sched_async, 66265, 601.6049477675399},
+  };
+  proto::ForwarderConfig fc;
+  fc.workers = 4;
+  const auto p = quick(64, 10);
+  for (const Golden& g : golden) {
+    const auto r = run_stream(g.mech, bgp::MachineConfig::intrepid(), fc, p);
+    EXPECT_EQ(r.sim_events, g.events) << proto::to_string(g.mech);
+    EXPECT_EQ(r.throughput_mib_s, g.mib_s)
+        << proto::to_string(g.mech) << ": " << std::setprecision(17) << r.throughput_mib_s;
+  }
 }
 
 }  // namespace
