@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   });
   // Software fallback, always measured so the table shows both dispatches.
   const double sw_ns = min_ns_per_iter(reps, crc_iters, [&](int) {
-    sink = sink + crc32c_sw_extend(0, buf.data(), buf.size());
+    sink = sink + *crc32c_kernel_extend(Crc32cKernel::software, 0, buf.data(), buf.size());
   });
   const double hdr_ns = min_ns_per_iter(reps, crc_iters * 100, [&](int) {
     sink = sink + crc32c(hdr, rt::FrameHeader::kCrcCoverage);

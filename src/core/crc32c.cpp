@@ -187,6 +187,121 @@ __attribute__((target("sse4.2"))) std::uint32_t hw_update(std::uint32_t state,
 
 bool detect_hw() noexcept { return __builtin_cpu_supports("sse4.2") != 0; }
 const char* hw_name() noexcept { return "sse4.2"; }
+
+#if defined(__x86_64__)
+// ---------------------------------------------------------------------------
+// Carry-less folding (VPCLMULQDQ + AVX-512F/VL).
+//
+// CRC is linear over GF(2), so a 16-byte lane of pending data can be moved
+// D bytes further down the message by multiplying it by x^(8D) mod P: the
+// product keeps the remainder. In the reflected bit order each qword of the
+// lane is carry-less multiplied by its own 33-bit constant —
+// reflect32(x^(8D+32) mod P) << 1 for the low qword and
+// reflect32(x^(8D-32) mod P) << 1 for the high one, the offsets and the
+// shift placing each product at the lane D bytes ahead — and both products
+// XOR into that lane. Four zmm accumulators keep 256 bytes in flight, so the
+// main loop runs at clmul throughput instead of crc32's 3-cycle chain. After
+// the last block the 16 lanes fold into one whose remainder equals that of
+// everything before it: two crc32 instructions from a zero state turn it
+// into the CRC, and the serial path takes the last <16 bytes.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kFoldMin = 256;  // one full block of four zmm lanes
+
+// reflect32(x^n mod P) << 1, stepped in the reflected domain where one
+// multiplication by x is a right shift (bit 31 is x^0).
+constexpr std::uint64_t fold_constant(unsigned n) {
+  std::uint32_t v = 0x80000000u;
+  for (unsigned i = 0; i < n; ++i) v = (v & 1u) != 0 ? (v >> 1) ^ kPolyReflected : v >> 1;
+  return std::uint64_t{v} << 1;
+}
+
+// Multipliers that move a 16-byte lane `bytes` bytes down the message.
+struct FoldBy {
+  std::uint64_t lo, hi;
+};
+constexpr FoldBy fold_by(unsigned bytes) {
+  return {fold_constant(8 * bytes + 32), fold_constant(8 * bytes - 32)};
+}
+constexpr FoldBy kFold256 = fold_by(256), kFold64 = fold_by(64), kFold16 = fold_by(16);
+
+#define IOFWD_FOLD_TARGET __attribute__((target("avx512f,avx512vl,vpclmulqdq,pclmul,sse4.2")))
+
+IOFWD_FOLD_TARGET inline __m512i broadcast(FoldBy k) noexcept {
+  return _mm512_set4_epi64(static_cast<long long>(k.hi), static_cast<long long>(k.lo),
+                           static_cast<long long>(k.hi), static_cast<long long>(k.lo));
+}
+
+IOFWD_FOLD_TARGET inline __m512i fold512(__m512i x, __m512i k, __m512i next) noexcept {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(x, k, 0x00),
+                                   _mm512_clmulepi64_epi128(x, k, 0x11), next, 0x96);
+}
+
+IOFWD_FOLD_TARGET inline __m128i fold128(__m128i x, __m128i k, __m128i next) noexcept {
+  return _mm_ternarylogic_epi64(_mm_clmulepi64_si128(x, k, 0x00),
+                                _mm_clmulepi64_si128(x, k, 0x11), next, 0x96);
+}
+
+// Requires n >= kFoldMin.
+IOFWD_FOLD_TARGET std::uint32_t fold_blocks(std::uint32_t state, const unsigned char* p,
+                                            std::size_t n) noexcept {
+  const __m512i k256 = broadcast(kFold256);
+  // The initial state XORs into the first four message bytes; from then on
+  // the accumulators carry the CRC state from a zero start.
+  __m512i z0 = _mm512_xor_si512(_mm512_loadu_si512(p),
+                                _mm512_zextsi128_si512(_mm_cvtsi32_si128(static_cast<int>(state))));
+  __m512i z1 = _mm512_loadu_si512(p + 64);
+  __m512i z2 = _mm512_loadu_si512(p + 128);
+  __m512i z3 = _mm512_loadu_si512(p + 192);
+  p += kFoldMin;
+  n -= kFoldMin;
+  while (n >= kFoldMin) {
+    z0 = fold512(z0, k256, _mm512_loadu_si512(p));
+    z1 = fold512(z1, k256, _mm512_loadu_si512(p + 64));
+    z2 = fold512(z2, k256, _mm512_loadu_si512(p + 128));
+    z3 = fold512(z3, k256, _mm512_loadu_si512(p + 192));
+    p += kFoldMin;
+    n -= kFoldMin;
+  }
+  // 4 zmm -> 1 zmm -> 4 xmm -> 1 xmm.
+  const __m512i k64 = broadcast(kFold64);
+  z1 = fold512(z0, k64, z1);
+  z2 = fold512(z1, k64, z2);
+  z3 = fold512(z2, k64, z3);
+  const __m128i k16 =
+      _mm_set_epi64x(static_cast<long long>(kFold16.hi), static_cast<long long>(kFold16.lo));
+  // Zero-masked extracts: the plain extract and cast trip GCC 12's
+  // -Wmaybe-uninitialized inside the intrinsic headers.
+  __m128i x = _mm512_maskz_extracti32x4_epi32(0xf, z3, 0);
+  x = fold128(x, k16, _mm512_maskz_extracti32x4_epi32(0xf, z3, 1));
+  x = fold128(x, k16, _mm512_maskz_extracti32x4_epi32(0xf, z3, 2));
+  x = fold128(x, k16, _mm512_maskz_extracti32x4_epi32(0xf, z3, 3));
+  while (n >= 16) {
+    x = fold128(x, k16, _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+    p += 16;
+    n -= 16;
+  }
+  std::uint64_t s = _mm_crc32_u64(0, static_cast<std::uint64_t>(_mm_cvtsi128_si64(x)));
+  s = _mm_crc32_u64(s, static_cast<std::uint64_t>(_mm_extract_epi64(x, 1)));
+  return hw_update_serial(static_cast<std::uint32_t>(s), p, n);
+}
+
+#undef IOFWD_FOLD_TARGET
+
+// Short buffers never enter the AVX-512 function, so the frame-header path
+// pays neither its prologue nor its vzeroupper.
+__attribute__((target("sse4.2"))) std::uint32_t fold_update(std::uint32_t state,
+                                                            const unsigned char* p,
+                                                            std::size_t n) noexcept {
+  return n < kFoldMin ? hw_update_serial(state, p, n) : fold_blocks(state, p, n);
+}
+
+bool detect_fold() noexcept {
+  return __builtin_cpu_supports("vpclmulqdq") != 0 && __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512vl") != 0 && __builtin_cpu_supports("pclmul") != 0 &&
+         detect_hw();
+}
+#endif  // __x86_64__
 #elif defined(IOFWD_CRC32C_ARM)
 __attribute__((target("+crc"))) std::uint32_t hw_update_serial(std::uint32_t state,
                                                                const unsigned char* p,
@@ -251,15 +366,42 @@ bool detect_hw() noexcept { return false; }
 const char* hw_name() noexcept { return "software"; }
 #endif
 
+using UpdateFn = std::uint32_t (*)(std::uint32_t, const unsigned char*, std::size_t) noexcept;
+
+// The raw-state update of kernel `k`, or nullptr when this CPU lacks it.
+UpdateFn kernel_update(Crc32cKernel k) noexcept {
+  switch (k) {
+    case Crc32cKernel::software:
+      return sw_update;
+    case Crc32cKernel::interleaved:
+      return detect_hw() ? hw_update : nullptr;
+    case Crc32cKernel::fold:
+#if defined(IOFWD_CRC32C_X86) && defined(__x86_64__)
+      return detect_fold() ? fold_update : nullptr;
+#else
+      return nullptr;
+#endif
+  }
+  return nullptr;
+}
+
+struct Dispatch {
+  UpdateFn update;
+  const char* name;
+};
+
 // Dispatch is resolved once; the result never changes for the process.
-bool hw_selected() noexcept {
-  static const bool selected = detect_hw();
-  return selected;
+const Dispatch& selected() noexcept {
+  static const Dispatch d = []() -> Dispatch {
+    if (UpdateFn fold = kernel_update(Crc32cKernel::fold)) return {fold, "avx512-vpclmulqdq"};
+    if (detect_hw()) return {hw_update, hw_name()};
+    return {sw_update, "software"};
+  }();
+  return d;
 }
 
 std::uint32_t update(std::uint32_t state, const void* data, std::size_t n) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  return hw_selected() ? hw_update(state, p, n) : sw_update(state, p, n);
+  return selected().update(state, static_cast<const unsigned char*>(data), n);
 }
 
 }  // namespace
@@ -280,12 +422,15 @@ std::uint32_t crc32c(std::span<const std::byte> data) noexcept {
   return crc32c_extend(0, data.data(), data.size());
 }
 
-std::uint32_t crc32c_sw_extend(std::uint32_t prev, const void* data, std::size_t n) noexcept {
-  return ~sw_update(~prev, static_cast<const unsigned char*>(data), n);
+std::optional<std::uint32_t> crc32c_kernel_extend(Crc32cKernel kernel, std::uint32_t prev,
+                                                  const void* data, std::size_t n) noexcept {
+  const UpdateFn fn = kernel_update(kernel);
+  if (fn == nullptr) return std::nullopt;
+  return ~fn(~prev, static_cast<const unsigned char*>(data), n);
 }
 
-bool crc32c_hw_available() noexcept { return hw_selected(); }
+bool crc32c_hw_available() noexcept { return selected().update != sw_update; }
 
-const char* crc32c_impl() noexcept { return hw_selected() ? hw_name() : "software"; }
+const char* crc32c_impl() noexcept { return selected().name; }
 
 }  // namespace iofwd

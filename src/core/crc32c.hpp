@@ -2,14 +2,20 @@
 //
 // The runtime wire protocol checksums every frame header and (when protocol
 // v1 is negotiated) every payload with CRC32C — the same polynomial iSCSI,
-// ext4, and btrfs use, because commodity CPUs accelerate it: SSE4.2 has a
-// dedicated crc32 instruction and ARMv8 an optional CRC32 extension. This
-// module picks the fastest available implementation once at startup
-// (resolved the first time any checksum is computed) and falls back to a
-// slicing-by-8 table implementation everywhere else; both produce identical
-// results, unit-tested against the RFC 3720 reference vectors. Large buffers
-// run three interleaved hardware streams to hide the crc32 instruction's
-// 3-cycle latency (~3x the serial chain on wire-payload-sized buffers).
+// ext4, and btrfs use, because commodity CPUs accelerate it. This module
+// picks the fastest kernel the CPU has once per process (resolved the first
+// time any checksum is computed); every kernel produces identical results,
+// unit-tested against the RFC 3720 reference vectors and against each other:
+//   1. fold (x86-64 with VPCLMULQDQ + AVX-512F/VL): carry-less multiplication
+//      folds four 64-byte accumulators across 256-byte blocks, then two
+//      crc32 instructions reduce the last 16-byte lane — memory speed on
+//      wire payloads. Buffers under 256 bytes (every frame header) take the
+//      serial crc32 chain.
+//   2. interleaved (SSE4.2 or ARMv8 CRC32): three independent crc32 streams
+//      over 4 KiB lanes hide the instruction's 3-cycle latency (~3x the
+//      serial chain on 12 KiB and up), recombined with zero-block shift
+//      tables.
+//   3. software: slicing-by-8 tables, everywhere else.
 //
 // Conventions: crc32c(data) is the standard reflected CRC with initial value
 // and final xor of 0xFFFFFFFF (so crc32c("123456789") == 0xE3069283).
@@ -20,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 
 namespace iofwd {
@@ -36,16 +43,22 @@ namespace iofwd {
 [[nodiscard]] std::uint32_t crc32c_extend(std::uint32_t prev,
                                           std::span<const std::byte> data) noexcept;
 
-// True when a hardware CRC32C instruction is available and selected.
+// True when a hardware kernel (fold or interleaved) is selected.
 [[nodiscard]] bool crc32c_hw_available() noexcept;
 
-// The selected implementation: "sse4.2", "armv8-crc", or "software".
+// The selected kernel: "avx512-vpclmulqdq", "sse4.2", "armv8-crc", or
+// "software".
 [[nodiscard]] const char* crc32c_impl() noexcept;
 
-// The portable slicing-by-8 implementation, exposed so tests can cross-check
-// hardware against software and benchmarks can report both dispatch paths.
-// Takes and returns the *raw* (non-inverted) CRC state like crc32c_extend.
-[[nodiscard]] std::uint32_t crc32c_sw_extend(std::uint32_t prev, const void* data,
-                                             std::size_t n) noexcept;
+enum class Crc32cKernel : std::uint8_t { software, interleaved, fold };
+
+// Runs one named kernel instead of the dispatched one, so tests can
+// cross-check every kernel this CPU has and benchmarks can time each.
+// Same convention as crc32c_extend; nullopt when the CPU lacks the kernel
+// (software is always present).
+[[nodiscard]] std::optional<std::uint32_t> crc32c_kernel_extend(Crc32cKernel kernel,
+                                                                std::uint32_t prev,
+                                                                const void* data,
+                                                                std::size_t n) noexcept;
 
 }  // namespace iofwd

@@ -200,6 +200,25 @@ InProcTransport::make_pair(std::size_t capacity) {
 // SocketTransport
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Frame-sized send buffers for AF_UNIX stream sockets. The default
+// (net.core.wmem_default, ~208 KiB) splits a 1 MiB read reply into ~8
+// sendmsg calls, each followed by an EPOLLOUT re-arm and a lane wake-up.
+// The kernel doubles the request for its bookkeeping, so 2 MiB yields a
+// 4 MiB buffer — send_queue_bytes' default — and a whole 1 MiB reply or
+// 256 KiB request leaves in one call. Best effort: the kernel silently
+// clamps the value to net.core.wmem_max, and an error keeps the default.
+// TCP sockets are left alone: setting SO_SNDBUF there turns off the
+// kernel's send-buffer autotuning.
+constexpr int kUnixSendBuffer = 2 << 20;
+
+void size_unix_send_buffer(int fd) noexcept {
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kUnixSendBuffer, sizeof kUnixSendBuffer);
+}
+
+}  // namespace
+
 SocketTransport::~SocketTransport() {
   close();
   // The fd itself is released only here, once no thread can still be blocked
@@ -216,6 +235,8 @@ SocketTransport::make_socketpair() {
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
     return Status(Errc::io_error, std::string("socketpair: ") + std::strerror(errno));
   }
+  size_unix_send_buffer(fds[0]);
+  size_unix_send_buffer(fds[1]);
   return std::make_pair(std::make_unique<SocketTransport>(fds[0]),
                         std::make_unique<SocketTransport>(fds[1]));
 }
@@ -230,6 +251,7 @@ Result<std::unique_ptr<SocketTransport>> SocketTransport::connect_unix(const std
     return Status(Errc::invalid_argument, "unix path too long");
   }
   std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+  size_unix_send_buffer(fd);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     const int err = errno;
     ::close(fd);
@@ -457,6 +479,7 @@ Result<std::unique_ptr<SocketTransport>> UnixListener::accept() {
     if (errno == EBADF || errno == EINVAL) return Status(Errc::shutdown, "listener closed");
     return Status(Errc::io_error, std::string("accept: ") + std::strerror(errno));
   }
+  size_unix_send_buffer(cfd);
   return std::make_unique<SocketTransport>(cfd);
 }
 

@@ -176,6 +176,9 @@ class SocketTransport final : public ByteStream {
   SocketTransport& operator=(const SocketTransport&) = delete;
 
   // A connected AF_UNIX socketpair (for tests and same-host deployments).
+  // Every AF_UNIX socket this layer creates (here, connect_unix and
+  // UnixListener::accept) asks for a 2 MiB send buffer so a whole frame
+  // crosses in one sendmsg; TCP keeps the kernel's autotuning.
   static Result<std::pair<std::unique_ptr<SocketTransport>, std::unique_ptr<SocketTransport>>>
   make_socketpair();
 

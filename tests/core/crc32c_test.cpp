@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -12,9 +13,38 @@
 namespace iofwd {
 namespace {
 
-// One-shot software CRC via the raw-state extend API: state 0 == fresh CRC.
-std::uint32_t sw_oneshot(const void* data, std::size_t n) {
-  return crc32c_sw_extend(0, data, n);
+std::uint32_t sw_extend(std::uint32_t prev, const void* data, std::size_t n) {
+  return *crc32c_kernel_extend(Crc32cKernel::software, prev, data, n);
+}
+
+std::uint32_t sw_oneshot(const void* data, std::size_t n) { return sw_extend(0, data, n); }
+
+struct NamedKernel {
+  Crc32cKernel kernel;
+  const char* name;
+};
+constexpr NamedKernel kKernels[] = {{Crc32cKernel::software, "software"},
+                                    {Crc32cKernel::interleaved, "interleaved"},
+                                    {Crc32cKernel::fold, "fold"}};
+
+// The kernels this CPU can run; software is always among them.
+std::vector<NamedKernel> present_kernels() {
+  std::vector<NamedKernel> out;
+  for (const NamedKernel& k : kKernels) {
+    if (crc32c_kernel_extend(k.kernel, 0, nullptr, 0).has_value()) {
+      out.push_back(k);
+    } else {
+      std::printf("[ INFO     ] crc32c kernel '%s' not on this CPU; not cross-checked\n", k.name);
+    }
+  }
+  return out;
+}
+
+std::vector<unsigned char> random_bytes(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<unsigned char> buf(n);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.below(256));
+  return buf;
 }
 
 // RFC 3720 appendix B.4 reference vectors (iSCSI CRC32C).
@@ -132,13 +162,95 @@ TEST(Crc32c, DetectsSingleBitFlips) {
   EXPECT_EQ(crc32c(buf.data(), buf.size()), good);
 }
 
+// Every length 0..1100 at all 64 alignments: covers the serial cutoff below
+// one 256-byte fold block, every 16-byte lane remainder, and the <16-byte
+// tails after 1..4 fold blocks.
+TEST(Crc32c, EveryKernelMatchesSoftwareAtEveryShortLengthAndAlignment) {
+  const auto buf = random_bytes(0x51ce5eedULL, 1100 + 64);
+  for (const NamedKernel& k : present_kernels()) {
+    for (std::size_t align = 0; align < 64; ++align) {
+      for (std::size_t n = 0; n <= 1100; ++n) {
+        const unsigned char* p = buf.data() + align;
+        const std::uint32_t prev = static_cast<std::uint32_t>(n * 0x9E3779B9u);
+        ASSERT_EQ(*crc32c_kernel_extend(k.kernel, prev, p, n), sw_extend(prev, p, n))
+            << k.name << " align=" << align << " n=" << n;
+      }
+    }
+  }
+}
+
+// Lengths straddling every 256-byte block boundary up to 64 KiB, and the
+// 3-way path's 12 KiB threshold.
+TEST(Crc32c, EveryKernelMatchesSoftwareAroundBlockBoundaries) {
+  const auto buf = random_bytes(0xb10c5ULL, 64 * 1024 + 65 + 3);
+  const std::size_t deltas[] = {0, 1, 15, 16, 17, 63, 64, 65};
+  for (const NamedKernel& k : present_kernels()) {
+    for (std::size_t base = 256; base <= 64 * 1024; base += 256) {
+      for (std::size_t d : deltas) {
+        for (const std::size_t n : {base - d, base + d}) {
+          const unsigned char* p = buf.data() + 3;
+          ASSERT_EQ(*crc32c_kernel_extend(k.kernel, 0, p, n), sw_oneshot(p, n))
+              << k.name << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(Crc32c, EveryKernelMatchesSoftwareAtRandomLargeLengths) {
+  constexpr std::size_t kMax = (1u << 20) + 300;
+  const auto buf = random_bytes(0x1a26eULL, kMax + 64);
+  Rng rng(0xda7aULL);
+  for (int trial = 0; trial < 48; ++trial) {
+    const std::size_t n = rng.below(kMax + 1);
+    const std::size_t align = rng.below(64);
+    const std::uint32_t prev = static_cast<std::uint32_t>(rng.below(1ull << 32));
+    const unsigned char* p = buf.data() + align;
+    const std::uint32_t want = sw_extend(prev, p, n);
+    for (const NamedKernel& k : present_kernels()) {
+      ASSERT_EQ(*crc32c_kernel_extend(k.kernel, prev, p, n), want)
+          << k.name << " align=" << align << " n=" << n;
+    }
+  }
+  // The full-size extreme, too.
+  for (const NamedKernel& k : present_kernels()) {
+    EXPECT_EQ(*crc32c_kernel_extend(k.kernel, 0, buf.data(), kMax), sw_oneshot(buf.data(), kMax))
+        << k.name;
+  }
+}
+
+TEST(Crc32c, EveryKernelChainsAcrossEverySplitPoint) {
+  const auto buf = random_bytes(0x5b1170ULL, 1024);
+  const std::uint32_t whole = sw_oneshot(buf.data(), buf.size());
+  for (const NamedKernel& k : present_kernels()) {
+    for (std::size_t split = 0; split <= buf.size(); ++split) {
+      const std::uint32_t head = *crc32c_kernel_extend(k.kernel, 0, buf.data(), split);
+      ASSERT_EQ(*crc32c_kernel_extend(k.kernel, head, buf.data() + split, buf.size() - split),
+                whole)
+          << k.name << " split=" << split;
+    }
+  }
+  // The dispatched entry point chains the same way.
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    ASSERT_EQ(crc32c_extend(crc32c(buf.data(), split), buf.data() + split, buf.size() - split),
+              whole)
+        << "split=" << split;
+  }
+}
+
 TEST(Crc32c, ImplNameIsConsistentWithAvailability) {
   const std::string impl = crc32c_impl();
-  if (crc32c_hw_available()) {
+  if (crc32c_kernel_extend(Crc32cKernel::fold, 0, nullptr, 0).has_value()) {
+    EXPECT_EQ(impl, "avx512-vpclmulqdq");
+    EXPECT_TRUE(crc32c_hw_available());
+  } else if (crc32c_hw_available()) {
     EXPECT_TRUE(impl == "sse4.2" || impl == "armv8-crc") << impl;
   } else {
     EXPECT_EQ(impl, "software");
   }
+  // Hardware is selected exactly when a hardware kernel exists.
+  EXPECT_EQ(crc32c_hw_available(),
+            crc32c_kernel_extend(Crc32cKernel::interleaved, 0, nullptr, 0).has_value());
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 // would drain each reply immediately and never stress the queue.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -300,6 +302,48 @@ TEST(SendPath, FstatIsTheOnlyReplyCopy) {
   std::memcpy(&size, size_payload.data(), 8);
   EXPECT_EQ(size, 16_KiB);
   EXPECT_EQ(server.stats().reply_payload_copy_bytes, 8u);
+  server.stop();
+}
+
+// With frame-sized AF_UNIX send buffers a 1 MiB read reply (header plus
+// payload) leaves the lane in one gathered writev: no partial sends, no
+// EPOLLOUT re-arm.
+TEST(SendPath, MiBReadOverUnixListenerIsOneWritev) {
+  if (!testsupport::unix_send_buffers_unclamped()) GTEST_SKIP() << "net.core.wmem_max < 2 MiB";
+  ServerConfig cfg;
+  cfg.recv_lanes = 1;
+  IonServer server(std::make_unique<MemBackend>(), cfg);
+  const std::string path = "/tmp/iofwd_sendpath_" + std::to_string(::getpid()) + ".sock";
+  auto listener = UnixListener::bind(path);
+  ASSERT_TRUE(listener.is_ok()) << listener.status().to_string();
+  server.serve_listener(std::move(listener).value());
+  auto stream = SocketTransport::connect_unix(path);
+  ASSERT_TRUE(stream.is_ok()) << stream.status().to_string();
+  Raw conn{std::move(stream).value()};
+  ASSERT_TRUE(conn.handshake(1, "f"));
+
+  const auto data = testsupport::pattern(1_MiB, 0xc1);
+  FrameHeader wr;
+  wr.op = OpCode::write;
+  wr.fd = 1;
+  ASSERT_TRUE(conn.roundtrip(wr, data));
+  FrameHeader sync;
+  sync.op = OpCode::fsync;
+  sync.fd = 1;
+  ASSERT_TRUE(conn.roundtrip(sync));
+
+  // Every writev for earlier replies was issued before the client read
+  // their last byte, so the counter is settled here.
+  const char* kCalls = "server.rt.lane.0.send.writev_calls";
+  const std::uint64_t before = server.metrics().counter(kCalls);
+  FrameHeader rd;
+  rd.op = OpCode::read;
+  rd.fd = 1;
+  rd.payload_len = 1_MiB;
+  std::vector<std::byte> back;
+  ASSERT_TRUE(conn.roundtrip(rd, {}, nullptr, &back));
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(server.metrics().counter(kCalls) - before, 1u);
   server.stop();
 }
 

@@ -2,10 +2,12 @@
 // in-process and socket transports, across all three execution models.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <map>
 #include <thread>
+#include <vector>
 
 #include "core/units.hpp"
 #include "rt/client.hpp"
@@ -246,6 +248,101 @@ TEST(Rt, WorksOverSocketpair) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(r.value(), data);
   EXPECT_TRUE(client.close(1).is_ok());
+}
+
+// A hand-rolled server on the far end of a socketpair: reads one request,
+// answers with an ok reply header claiming `claimed` payload bytes, sends
+// `sent` of them, then closes. A client that trusted an oversized claim
+// would block for the rest and then fail with shutdown, not protocol_error.
+std::jthread claiming_server(std::unique_ptr<SocketTransport> end, std::uint64_t claimed,
+                             std::size_t sent) {
+  return std::jthread([end = std::move(end), claimed, sent] {
+    std::array<std::byte, FrameHeader::kWireSize> buf{};
+    if (!end->read_exact(buf.data(), buf.size()).is_ok()) return;
+    auto req = FrameHeader::decode(std::span<const std::byte, FrameHeader::kWireSize>(buf));
+    if (!req.is_ok()) return;
+    if (req.value().op != OpCode::read) {
+      std::vector<std::byte> body(req.value().payload_len);
+      if (!end->read_exact(body.data(), body.size()).is_ok()) return;
+    }
+    FrameHeader rep;
+    rep.type = MsgType::reply;
+    rep.op = req.value().op;
+    rep.fd = req.value().fd;
+    rep.seq = req.value().seq;
+    rep.payload_len = claimed;
+    rep.encode(std::span<std::byte, FrameHeader::kWireSize>(buf));
+    (void)end->write_all(buf.data(), buf.size());
+    const std::vector<std::byte> body(sent, std::byte{0x5a});
+    (void)end->write_all(body.data(), body.size());
+    end->close();
+  });
+}
+
+struct ClaimingPair {
+  std::jthread server;
+  Client client;
+};
+
+ClaimingPair claiming_pair(std::uint64_t claimed, std::size_t sent) {
+  auto pair = SocketTransport::make_socketpair();
+  EXPECT_TRUE(pair.is_ok());
+  ClientConfig cfg;
+  cfg.max_wire_version = 0;  // no hello: the first frame is the op under test
+  return {claiming_server(std::move(pair.value().first), claimed, sent),
+          Client(std::move(pair.value().second), cfg)};
+}
+
+TEST(Rt, ClientRejectsReplyLongerThanTheOpAllows) {
+  {
+    auto [server, client] = claiming_pair(4097, 0);
+    auto r = client.read(1, 0, 4096);
+    ASSERT_FALSE(r.is_ok());
+    EXPECT_EQ(r.code(), Errc::protocol_error) << r.status().to_string();
+  }
+  {
+    // The largest claim decode accepts must not be allocated for a 4 KiB read.
+    auto [server, client] = claiming_pair(kMaxPayload, 0);
+    auto r = client.read(1, 0, 4096);
+    ASSERT_FALSE(r.is_ok());
+    EXPECT_EQ(r.code(), Errc::protocol_error) << r.status().to_string();
+  }
+  {
+    auto [server, client] = claiming_pair(9, 0);
+    auto r = client.fstat_size(1);
+    ASSERT_FALSE(r.is_ok());
+    EXPECT_EQ(r.code(), Errc::protocol_error) << r.status().to_string();
+  }
+  {
+    const auto data = pattern(4096, 15);
+    auto [server, client] = claiming_pair(1, 0);
+    EXPECT_EQ(client.write(1, 0, data).code(), Errc::protocol_error);
+  }
+  {
+    auto [server, client] = claiming_pair(1, 0);
+    EXPECT_EQ(client.fsync(1).code(), Errc::protocol_error);
+  }
+}
+
+TEST(Rt, ClientAcceptsRepliesWithinTheOpBound) {
+  {
+    auto [server, client] = claiming_pair(4096, 4096);
+    auto r = client.read(1, 0, 4096);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value().size(), 4096u);
+  }
+  {
+    auto [server, client] = claiming_pair(100, 100);  // short read at EOF
+    auto r = client.read(1, 0, 4096);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value().size(), 100u);
+  }
+  {
+    auto [server, client] = claiming_pair(8, 8);
+    auto r = client.fstat_size(1);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value(), 0x5a5a5a5a5a5a5a5aull);
+  }
 }
 
 TEST(Rt, StatsAccumulate) {

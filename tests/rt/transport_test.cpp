@@ -4,7 +4,9 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <thread>
@@ -13,6 +15,7 @@
 #include "core/rng.hpp"
 #include "rt/client.hpp"
 #include "rt/server.hpp"
+#include "testsupport/testsupport.hpp"
 
 namespace iofwd::rt {
 namespace {
@@ -330,6 +333,49 @@ TEST(UnixListener, AcceptAndEcho) {
   ASSERT_TRUE(client.value()->read_exact(got, 5).is_ok());
   EXPECT_EQ(std::memcmp(got, "abcde", 5), 0);
   server.join();
+}
+
+int send_buffer_bytes(ByteStream& s) {
+  int v = 0;
+  socklen_t len = sizeof v;
+  EXPECT_EQ(::getsockopt(s.write_readiness_fd(), SOL_SOCKET, SO_SNDBUF, &v, &len), 0);
+  return v;
+}
+
+// Every AF_UNIX socket the transport creates asks for 2 MiB, which the
+// kernel doubles: a whole 1 MiB reply or 256 KiB request fits in one send.
+TEST(UnixListener, EverySocketGetsAFrameSizedSendBuffer) {
+  if (!testsupport::unix_send_buffers_unclamped()) GTEST_SKIP() << "net.core.wmem_max < 2 MiB";
+  constexpr int kWant = 4 << 20;
+  auto [a, b] = make_sockets();
+  EXPECT_GE(send_buffer_bytes(*a), kWant);
+  EXPECT_GE(send_buffer_bytes(*b), kWant);
+
+  const std::string path = "/tmp/iofwd_sndbuf_" + std::to_string(::getpid()) + ".sock";
+  auto listener = UnixListener::bind(path);
+  ASSERT_TRUE(listener.is_ok()) << listener.status().to_string();
+  auto client = SocketTransport::connect_unix(path);
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  auto accepted = listener.value()->accept();
+  ASSERT_TRUE(accepted.is_ok()) << accepted.status().to_string();
+  EXPECT_GE(send_buffer_bytes(*client.value()), kWant);
+  EXPECT_GE(send_buffer_bytes(*accepted.value()), kWant);
+}
+
+TEST(SocketTransport, OneWritevCarriesAHeaderAndAMiBPayload) {
+  if (!testsupport::unix_send_buffers_unclamped()) GTEST_SKIP() << "net.core.wmem_max < 2 MiB";
+  auto [a, b] = make_sockets();
+  const std::vector<std::byte> hdr(FrameHeader::kWireSize, std::byte{0xab});
+  const auto payload = testsupport::pattern(1 << 20, 77);
+  const std::array<std::span<const std::byte>, 2> iov{std::span<const std::byte>(hdr),
+                                                      std::span<const std::byte>(payload)};
+  auto r = a->writev_some(std::span<const std::span<const std::byte>>(iov));
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  ASSERT_EQ(r.value(), hdr.size() + payload.size());
+  std::vector<std::byte> got(hdr.size() + payload.size());
+  ASSERT_TRUE(b->read_exact(got.data(), got.size()).is_ok());
+  EXPECT_TRUE(std::equal(hdr.begin(), hdr.end(), got.begin()));
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), got.begin() + hdr.size()));
 }
 
 TEST(UnixListener, ConnectToMissingPathFails) {

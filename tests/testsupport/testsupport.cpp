@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 
 #include <stdlib.h>  // mkdtemp
 
@@ -30,6 +31,12 @@ std::uint64_t test_seed(const char* label, std::uint64_t dflt) {
   std::fprintf(stderr, "[%s] seed 0x%" PRIx64 "%s (replay: IOFWD_TEST_SEED=0x%" PRIx64 ")\n",
                label, seed, overridden ? " (from IOFWD_TEST_SEED)" : "", seed);
   return seed;
+}
+
+bool unix_send_buffers_unclamped() {
+  std::ifstream in("/proc/sys/net/core/wmem_max");
+  std::uint64_t wmem_max = 0;
+  return static_cast<bool>(in >> wmem_max) && wmem_max >= (2u << 20);
 }
 
 std::unique_ptr<rt::IoBackend> TestCluster::make_backend_chain(int shard) {

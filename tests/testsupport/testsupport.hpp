@@ -80,6 +80,11 @@ std::vector<std::byte> pattern(std::size_t n, std::uint64_t seed);
 // the seed needed to replay it.
 std::uint64_t test_seed(const char* label, std::uint64_t dflt);
 
+// True when net.core.wmem_max lets the transport's 2 MiB SO_SNDBUF request
+// through unclamped (the kernel then reports 4 MiB). Tests that pin
+// frame-sized AF_UNIX send buffers GTEST_SKIP otherwise.
+bool unix_send_buffers_unclamped();
+
 struct ClusterOptions {
   rt::ServerConfig server;      // knobs pass through untouched
   rt::ClientConfig client;      // config for the initial clients
