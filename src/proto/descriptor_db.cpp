@@ -14,7 +14,7 @@ std::optional<std::uint64_t> DescriptorDb::begin_op(int fd) {
   if (it == table_.end()) return std::nullopt;
   auto& e = it->second;
   const std::uint64_t seq = e.next_seq++;
-  e.ops.push_back(OpRecord{seq, false, Status::ok()});
+  e.in_flight.push_back(seq);  // the largest so far: stays ascending
   return seq;
 }
 
@@ -22,11 +22,10 @@ bool DescriptorDb::complete_op(int fd, std::uint64_t seq, Status status) {
   auto it = table_.find(fd);
   if (it == table_.end()) return false;
   auto& e = it->second;
-  auto op = std::find_if(e.ops.begin(), e.ops.end(),
-                         [seq](const OpRecord& r) { return r.seq == seq; });
-  if (op == e.ops.end() || op->completed) return false;
-  op->completed = true;
-  op->status = status;
+  const auto op = std::lower_bound(e.in_flight.begin(), e.in_flight.end(), seq);
+  if (op == e.in_flight.end() || *op != seq) return false;
+  e.in_flight.erase(op);
+  ++e.completed;
   if (!status.is_ok()) e.pending_errors.push_back(std::move(status));
   return true;
 }
@@ -58,37 +57,12 @@ Status DescriptorDb::close_descriptor(int fd) {
 
 std::size_t DescriptorDb::in_flight(int fd) const {
   auto it = table_.find(fd);
-  if (it == table_.end()) return 0;
-  return static_cast<std::size_t>(
-      std::count_if(it->second.ops.begin(), it->second.ops.end(),
-                    [](const OpRecord& r) { return !r.completed; }));
+  return it == table_.end() ? 0 : it->second.in_flight.size();
 }
 
 std::size_t DescriptorDb::completed_count(int fd) const {
   auto it = table_.find(fd);
-  if (it == table_.end()) return 0;
-  return static_cast<std::size_t>(
-      std::count_if(it->second.ops.begin(), it->second.ops.end(),
-                    [](const OpRecord& r) { return r.completed; }));
-}
-
-void DescriptorDb::trim_completed(int fd, std::size_t keep_last) {
-  auto it = table_.find(fd);
-  if (it == table_.end()) return;
-  auto& ops = it->second.ops;
-  // Keep all in-flight records plus the most recent `keep_last` completed.
-  std::vector<OpRecord> kept;
-  std::size_t completed_total = 0;
-  for (const auto& r : ops) completed_total += r.completed ? 1 : 0;
-  std::size_t to_drop = completed_total > keep_last ? completed_total - keep_last : 0;
-  for (auto& r : ops) {
-    if (r.completed && to_drop > 0 && r.status.is_ok()) {
-      --to_drop;
-      continue;
-    }
-    kept.push_back(std::move(r));
-  }
-  ops = std::move(kept);
+  return it == table_.end() ? 0 : it->second.completed;
 }
 
 }  // namespace iofwd::proto

@@ -10,6 +10,11 @@
 // the simulated forwarder (proto/) and the real runtime (rt/) share it
 // verbatim. Thread safety is the caller's job (the runtime wraps calls in
 // its descriptor-table lock; the simulator is single-threaded).
+//
+// Only what a later operation can still need is kept: the sequence numbers
+// of in-progress operations, a count of completed ones, and the errors not
+// yet reported. A long-lived descriptor's history costs nothing, and no call
+// looks at more than the operations still in flight.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +28,6 @@ namespace iofwd::proto {
 
 class DescriptorDb {
  public:
-  struct OpRecord {
-    std::uint64_t seq = 0;
-    bool completed = false;
-    Status status;
-  };
-
   // Register a descriptor (on open). Returns false if it already exists.
   bool open_descriptor(int fd);
 
@@ -36,8 +35,9 @@ class DescriptorDb {
   // number, or nullopt for an unknown descriptor.
   std::optional<std::uint64_t> begin_op(int fd);
 
-  // Complete a previously begun operation.
-  // Returns false for unknown descriptor/sequence.
+  // Complete a previously begun operation, in any order.
+  // Returns false for an unknown descriptor or sequence, or a second
+  // completion of the same operation.
   bool complete_op(int fd, std::uint64_t seq, Status status);
 
   // The deferred-error check performed at the start of every subsequent
@@ -61,14 +61,11 @@ class DescriptorDb {
   [[nodiscard]] std::size_t completed_count(int fd) const;
   [[nodiscard]] std::size_t open_count() const { return table_.size(); }
 
-  // Drop completed-without-error records older than `keep_last` to bound
-  // memory (the paper keeps the full list; we expose trimming as a knob).
-  void trim_completed(int fd, std::size_t keep_last);
-
  private:
   struct Entry {
     std::uint64_t next_seq = 0;
-    std::vector<OpRecord> ops;           // in seq order
+    std::vector<std::uint64_t> in_flight;  // begun, not completed; ascending
+    std::size_t completed = 0;
     std::vector<Status> pending_errors;  // completed-with-error, unreported
   };
   std::unordered_map<int, Entry> table_;

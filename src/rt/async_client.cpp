@@ -38,6 +38,7 @@ Status AsyncClient::send_frame(FrameHeader& req, std::span<const std::byte> payl
 
   out = std::make_shared<Pending>();
   out->is_read = is_read;
+  out->max_reply = reply_payload_bound(req);
   pending_[req.seq] = out;
 
   // Serialize the wire write under the same lock: frames must not interleave.
@@ -127,36 +128,45 @@ void AsyncClient::dispatcher_loop() {
       return;
     }
     const FrameHeader rep = hdr.value();
-    std::vector<std::byte> payload(rep.payload_len);
-    if (rep.payload_len > 0 &&
-        !stream_->read_exact(payload.data(), payload.size()).is_ok()) {
-      fail_all(Status(Errc::shutdown, "connection closed mid-payload"));
-      return;
-    }
-
+    // Match the request before sizing a buffer from the header: the payload
+    // may be no longer than that request can return, and an unknown seq
+    // allows none. On a violation the request stays pending, so fail_all()
+    // fails it too.
     std::shared_ptr<Pending> p;
     {
       std::scoped_lock lock(mu_);
       auto it = pending_.find(rep.seq);
-      if (it != pending_.end()) {
+      if (it != pending_.end() && rep.payload_len <= it->second->max_reply) {
         p = std::move(it->second);
         pending_.erase(it);
       }
     }
-    window_cv_.notify_all();
-    if (!p) continue;  // stale/unknown seq: ignore
-
-    const auto code = static_cast<Errc>(rep.status);
-    const Status st = code == Errc::ok ? Status::ok() : Status(code, "");
-    if (p->is_read) {
-      if (st.is_ok()) {
-        p->data.set_value(std::move(payload));
-      } else {
-        p->data.set_value(st);
-      }
-    } else {
-      p->status.set_value(st);
+    if (!p && rep.payload_len > 0) {
+      fail_all(Status(Errc::protocol_error, "reply payload longer than its request allows"));
+      return;
     }
+    window_cv_.notify_all();
+    if (!p) continue;  // an empty reply to a stale/unknown seq: ignore
+    std::vector<std::byte> payload(rep.payload_len);
+    if (rep.payload_len > 0 &&
+        !stream_->read_exact(payload.data(), payload.size()).is_ok()) {
+      const Status lost(Errc::shutdown, "connection closed mid-payload");
+      resolve(*p, lost);
+      fail_all(lost);
+      return;
+    }
+    const auto code = static_cast<Errc>(rep.status);
+    resolve(*p, code == Errc::ok ? Status::ok() : Status(code, ""), std::move(payload));
+  }
+}
+
+void AsyncClient::resolve(Pending& p, const Status& st, std::vector<std::byte> payload) {
+  if (!p.is_read) {
+    p.status.set_value(st);
+  } else if (st.is_ok()) {
+    p.data.set_value(std::move(payload));
+  } else {
+    p.data.set_value(st);
   }
 }
 
@@ -168,13 +178,7 @@ void AsyncClient::fail_all(const Status& why) {
     closed_ = true;
   }
   window_cv_.notify_all();
-  for (auto& [seq, p] : doomed) {
-    if (p->is_read) {
-      p->data.set_value(why);
-    } else {
-      p->status.set_value(why);
-    }
-  }
+  for (auto& [seq, p] : doomed) resolve(*p, why);
 }
 
 }  // namespace iofwd::rt

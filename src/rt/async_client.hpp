@@ -59,6 +59,7 @@ class AsyncClient {
     std::promise<Status> status;                         // non-read ops
     std::promise<Result<std::vector<std::byte>>> data;   // read ops
     bool is_read = false;
+    std::uint64_t max_reply = 0;  // reply_payload_bound() of the request
   };
 
   std::future<Status> submit(FrameHeader req, std::span<const std::byte> payload);
@@ -67,6 +68,8 @@ class AsyncClient {
                     std::shared_ptr<Pending>& out);
   void dispatcher_loop();
   void fail_all(const Status& why);
+  // Resolves p's future with `st`, and a successful read with `payload`.
+  static void resolve(Pending& p, const Status& st, std::vector<std::byte> payload = {});
 
   std::unique_ptr<ByteStream> stream_;
   const int window_;

@@ -145,13 +145,7 @@ Result<Client::Reply> Client::roundtrip_once(FrameHeader req, std::span<const st
   if (r.header.type != MsgType::reply || r.header.seq != req.seq) {
     return finish(Status(Errc::protocol_error, "mismatched reply"));
   }
-  // Bound the reply by what the op can return before sizing a buffer from
-  // it: a 4 KiB read must not allocate, and wait for, whatever length a
-  // buggy or hostile server claims.
-  const std::uint64_t max_reply = req.op == OpCode::read    ? req.payload_len
-                                  : req.op == OpCode::fstat ? 8
-                                                            : 0;
-  if (r.header.payload_len > max_reply) {
+  if (r.header.payload_len > reply_payload_bound(req)) {
     return finish(Status(Errc::protocol_error, "reply payload longer than the op allows"));
   }
   if (r.header.payload_len > 0) {

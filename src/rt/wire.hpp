@@ -137,6 +137,14 @@ struct FrameHeader {
 // (far beyond any ION buffer the paper considers).
 inline constexpr std::uint64_t kMaxPayload = 256ull << 20;
 
+// The longest reply payload request `req` can get: the requested length for
+// a read, the 8-byte size for fstat, nothing otherwise. Clients check a
+// reply's payload_len against it before sizing a buffer from it, so a buggy
+// or hostile server cannot make a 4 KiB read allocate (and wait for) more.
+[[nodiscard]] inline std::uint64_t reply_payload_bound(const FrameHeader& req) {
+  return req.op == OpCode::read ? req.payload_len : req.op == OpCode::fstat ? 8 : 0;
+}
+
 [[nodiscard]] const char* opcode_name(OpCode op);
 
 }  // namespace iofwd::rt

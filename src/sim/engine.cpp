@@ -24,7 +24,7 @@ constexpr std::size_t kMaxSlots = std::size_t{1} << Engine::kSlotBits;
 
 }  // namespace
 
-Engine::Slot& Engine::add(SimTime t) {
+Engine::EventId Engine::next_id(std::uint32_t slot, SimTime t) {
   if (t < now_) {
     std::fprintf(stderr,
                  "iofwd::sim: cannot schedule into the past (t=%" PRId64 " ns < now()=%" PRId64
@@ -33,6 +33,29 @@ Engine::Slot& Engine::add(SimTime t) {
     std::terminate();
   }
   if (next_seq_ > kMaxSeq) fail("event sequence numbers exhausted");
+  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  slots_[slot].id = id;
+  return id;
+}
+
+void Engine::enqueue(const Entry& e) {
+  // The FIFO stays sorted: e has the largest id so far and nothing queued is
+  // due after now().
+  if (e.t == now_) {
+    if (run_.size() == run_.capacity() && run_head_ > 0) {
+      // Reclaim the consumed prefix before growing.
+      run_.erase(run_.begin(), run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
+      run_head_ = 0;
+    }
+    run_.push_back(e);
+    slots_[slot_of(e.id)].pos = kQueued;
+  } else {
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, e);
+  }
+}
+
+Engine::Slot& Engine::add(SimTime t) {
   std::uint32_t s;
   if (!free_.empty()) {
     s = free_.back();
@@ -42,10 +65,7 @@ Engine::Slot& Engine::add(SimTime t) {
     s = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
-  const EventId id = (next_seq_++ << kSlotBits) | s;
-  slots_[s].id = id;
-  heap_.emplace_back();
-  sift_up(heap_.size() - 1, Entry{t, id});
+  enqueue(Entry{t, next_id(s, t)});
   return slots_[s];
 }
 
@@ -64,8 +84,27 @@ Engine::EventId Engine::schedule_resume_at(SimTime t, std::coroutine_handle<> h)
 void Engine::cancel(EventId id) {
   const std::uint32_t s = slot_of(id);
   if (id == 0 || s >= slots_.size() || slots_[s].id != id) return;  // fired or unknown
-  erase_at(slots_[s].pos);
+  // A run-queue entry stays behind; fire_next() skips it by its stale id.
+  if (slots_[s].pos != kQueued) erase_at(slots_[s].pos);
   release(s);
+}
+
+Engine::EventId Engine::retime(EventId id, SimTime t) {
+  const std::uint32_t s = slot_of(id);
+  if (id == 0 || s >= slots_.size() || slots_[s].id != id) return 0;  // fired or unknown
+  const std::uint32_t pos = slots_[s].pos;
+  const Entry e{t, next_id(s, t)};
+  if (pos == kQueued) {
+    enqueue(e);  // the old run-queue entry is stale now
+  } else if (t == now_) {
+    erase_at(pos);
+    enqueue(e);
+  } else if (before(e, heap_[pos])) {
+    sift_up(pos, e);
+  } else {
+    sift_down(pos, e);
+  }
+  return e.id;
 }
 
 void Engine::spawn(Proc<void> p) { schedule_resume_at(now_, p.release_detached()); }
@@ -116,10 +155,19 @@ void Engine::erase_at(std::size_t pos) {
 }
 
 bool Engine::fire_next(SimTime limit) {
-  if (heap_.empty() || heap_.front().t > limit) return false;
-  const Entry ev = heap_.front();
+  while (!run_.empty() && slots_[slot_of(run_[run_head_].id)].id != run_[run_head_].id) {
+    pop_run();  // cancelled or retimed
+  }
+  const bool from_run = !run_.empty() && (heap_.empty() || before(run_[run_head_], heap_.front()));
+  if (!from_run && heap_.empty()) return false;
+  const Entry ev = from_run ? run_[run_head_] : heap_.front();
+  if (ev.t > limit) return false;
+  if (from_run) {
+    pop_run();
+  } else {
+    erase_at(0);
+  }
   const std::uint32_t s = slot_of(ev.id);
-  erase_at(0);
   now_ = ev.t;
   ++processed_;
   // Free the slot before running the event: it may schedule (and so reuse

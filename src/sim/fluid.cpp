@@ -50,11 +50,11 @@ void FluidResource::advance() {
 }
 
 void FluidResource::reschedule() {
-  if (timer_armed_) {
-    eng_.cancel(timer_);
-    timer_armed_ = false;
-  }
   if (flows_.empty()) {
+    if (timer_armed_) {
+      eng_.cancel(timer_);
+      timer_armed_ = false;
+    }
     rate_per_flow_ = 0;
     return;
   }
@@ -70,8 +70,10 @@ void FluidResource::reschedule() {
   // Ceil so no completion fires early; the epsilon sweep in on_timer()
   // absorbs the sub-nanosecond residue.
   const double dt = std::max(0.0, min_rem - kEpsilonUnits) / rate_per_flow_;
-  const auto delay = static_cast<SimTime>(std::ceil(dt));
-  timer_ = eng_.schedule_after(delay, [this] { on_timer(); });
+  const SimTime at = eng_.now() + static_cast<SimTime>(std::ceil(dt));
+  // An armed timer moves in place: no new callback, and the same id that
+  // cancel + schedule would give.
+  timer_ = timer_armed_ ? eng_.retime(timer_, at) : eng_.schedule_at(at, [this] { on_timer(); });
   timer_armed_ = true;
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "core/rng.hpp"
+
 namespace iofwd::proto {
 namespace {
 
@@ -105,21 +111,48 @@ TEST(DescriptorDb, CloseCleanDescriptorIsOk) {
   EXPECT_TRUE(db.close_descriptor(1).is_ok());
 }
 
-TEST(DescriptorDb, TrimKeepsErrorsAndInFlight) {
+// A long-lived descriptor keeps only its in-flight operations and its
+// unreported errors, whatever its history. Completions arrive out of order
+// (a window of 8 operations, each completed at a random point), and the
+// deferred errors still surface exactly once, oldest first.
+TEST(DescriptorDb, LongHistoryKeepsOnlyInFlightOpsAndErrors) {
+  constexpr int kOps = 100000;
+  constexpr std::size_t kWindow = 8;
   DescriptorDb db;
   db.open_descriptor(1);
-  for (int i = 0; i < 10; ++i) {
-    auto s = db.begin_op(1);
-    if (i == 3) {
-      db.complete_op(1, *s, Status(Errc::io_error, "bad"));
-    } else if (i < 8) {
-      db.complete_op(1, *s, Status::ok());
-    }  // ops 8, 9 stay in flight
+  Rng rng(0xdb);
+  std::vector<std::uint64_t> open_ops;
+  std::vector<std::uint64_t> failed;  // in completion order
+  std::size_t max_in_flight = 0;
+  auto complete_one = [&] {
+    const std::size_t i = rng.below(open_ops.size());
+    const std::uint64_t seq = open_ops[i];
+    open_ops.erase(open_ops.begin() + static_cast<std::ptrdiff_t>(i));
+    Status st = Status::ok();
+    if (seq % 9973 == 17) {
+      st = Status(Errc::io_error, std::to_string(seq));
+      failed.push_back(seq);
+    }
+    ASSERT_TRUE(db.complete_op(1, seq, st));
+    ASSERT_FALSE(db.complete_op(1, seq, Status::ok())) << "completed twice";
+  };
+  for (int i = 0; i < kOps; ++i) {
+    open_ops.push_back(*db.begin_op(1));
+    max_in_flight = std::max(max_in_flight, db.in_flight(1));
+    if (open_ops.size() == kWindow) complete_one();
   }
-  db.trim_completed(1, 2);
-  EXPECT_EQ(db.in_flight(1), 2u);
-  // Deferred error still reported after trimming.
-  EXPECT_EQ(db.consume_pending_error(1).code(), Errc::io_error);
+  while (!open_ops.empty()) complete_one();
+  EXPECT_EQ(max_in_flight, kWindow);
+  EXPECT_EQ(db.in_flight(1), 0u);
+  EXPECT_EQ(db.completed_count(1), static_cast<std::size_t>(kOps));
+  ASSERT_GE(failed.size(), 2u);
+  for (const std::uint64_t seq : failed) {
+    const Status e = db.consume_pending_error(1);
+    EXPECT_EQ(e.code(), Errc::io_error);
+    EXPECT_EQ(e.message(), std::to_string(seq));
+  }
+  EXPECT_TRUE(db.consume_pending_error(1).is_ok());
+  EXPECT_TRUE(db.close_descriptor(1).is_ok());
 }
 
 class DescriptorDbMany : public ::testing::TestWithParam<int> {};

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "core/rng.hpp"
 #include "core/units.hpp"
 #include "fault/decorators.hpp"
 #include "rt/server.hpp"
+#include "testsupport/testsupport.hpp"
 
 namespace iofwd::rt {
 namespace {
@@ -138,6 +141,64 @@ TEST(AsyncClient2, HighConcurrencyStress) {
   EXPECT_EQ(failures, 0);
   ASSERT_TRUE(h.client->fsync(1).get().is_ok());
   EXPECT_EQ(h.mem->snapshot("stress").size(), 500 * data.size());
+}
+
+// An AsyncClient facing testsupport::claiming_server.
+struct ClaimingPair {
+  std::jthread server;
+  std::unique_ptr<AsyncClient> client;
+};
+
+ClaimingPair claiming_pair(std::uint64_t claimed, std::size_t sent, std::uint64_t seq_shift = 0) {
+  auto pair = SocketTransport::make_socketpair();
+  EXPECT_TRUE(pair.is_ok());
+  return {testsupport::claiming_server(std::move(pair.value().first), claimed, sent, seq_shift),
+          std::make_unique<AsyncClient>(std::move(pair.value().second))};
+}
+
+TEST(AsyncClient2, RejectsReplyLongerThanTheOpAllows) {
+  {
+    auto [server, client] = claiming_pair(4097, 0);
+    EXPECT_EQ(client->read(1, 0, 4096).get().code(), Errc::protocol_error);
+  }
+  {
+    // The largest claim decode accepts must not be allocated for a 4 KiB read.
+    auto [server, client] = claiming_pair(kMaxPayload, 0);
+    EXPECT_EQ(client->read(1, 0, 4096).get().code(), Errc::protocol_error);
+  }
+  {
+    const auto data = pattern(4096, 15);
+    auto [server, client] = claiming_pair(1, 0);
+    EXPECT_EQ(client->write(1, 0, data).get().code(), Errc::protocol_error);
+  }
+  {
+    auto [server, client] = claiming_pair(1, 0);
+    EXPECT_EQ(client->fsync(1).get().code(), Errc::protocol_error);
+  }
+}
+
+TEST(AsyncClient2, RejectsPayloadOnAnUnknownSeq) {
+  auto [server, client] = claiming_pair(16, 0, /*seq_shift=*/100);
+  EXPECT_EQ(client->read(1, 0, 4096).get().code(), Errc::protocol_error);
+}
+
+TEST(AsyncClient2, AcceptsRepliesWithinTheOpBound) {
+  {
+    auto [server, client] = claiming_pair(4096, 4096);
+    auto r = client->read(1, 0, 4096).get();
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value().size(), 4096u);
+  }
+  {
+    auto [server, client] = claiming_pair(100, 100);  // short read at EOF
+    auto r = client->read(1, 0, 4096).get();
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value(), std::vector<std::byte>(100, std::byte{0x5a}));
+  }
+  {
+    auto [server, client] = claiming_pair(0, 0);
+    EXPECT_TRUE(client->fsync(1).get().is_ok());
+  }
 }
 
 }  // namespace

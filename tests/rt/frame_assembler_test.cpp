@@ -24,7 +24,7 @@ std::vector<std::byte> frame_bytes(OpCode op, std::span<const std::byte> payload
   if (!payload.empty()) h.stamp_payload_crc(payload);
   std::vector<std::byte> out(FrameHeader::kWireSize + payload.size());
   h.encode(std::span<std::byte, FrameHeader::kWireSize>(out.data(), FrameHeader::kWireSize));
-  std::memcpy(out.data() + FrameHeader::kWireSize, payload.data(), payload.size());
+  std::copy(payload.begin(), payload.end(), out.begin() + FrameHeader::kWireSize);
   return out;
 }
 

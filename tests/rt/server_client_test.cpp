@@ -17,6 +17,7 @@
 namespace iofwd::rt {
 namespace {
 
+using testsupport::claiming_server;
 using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 using testsupport::pattern;
@@ -248,35 +249,6 @@ TEST(Rt, WorksOverSocketpair) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(r.value(), data);
   EXPECT_TRUE(client.close(1).is_ok());
-}
-
-// A hand-rolled server on the far end of a socketpair: reads one request,
-// answers with an ok reply header claiming `claimed` payload bytes, sends
-// `sent` of them, then closes. A client that trusted an oversized claim
-// would block for the rest and then fail with shutdown, not protocol_error.
-std::jthread claiming_server(std::unique_ptr<SocketTransport> end, std::uint64_t claimed,
-                             std::size_t sent) {
-  return std::jthread([end = std::move(end), claimed, sent] {
-    std::array<std::byte, FrameHeader::kWireSize> buf{};
-    if (!end->read_exact(buf.data(), buf.size()).is_ok()) return;
-    auto req = FrameHeader::decode(std::span<const std::byte, FrameHeader::kWireSize>(buf));
-    if (!req.is_ok()) return;
-    if (req.value().op != OpCode::read) {
-      std::vector<std::byte> body(req.value().payload_len);
-      if (!end->read_exact(body.data(), body.size()).is_ok()) return;
-    }
-    FrameHeader rep;
-    rep.type = MsgType::reply;
-    rep.op = req.value().op;
-    rep.fd = req.value().fd;
-    rep.seq = req.value().seq;
-    rep.payload_len = claimed;
-    rep.encode(std::span<std::byte, FrameHeader::kWireSize>(buf));
-    (void)end->write_all(buf.data(), buf.size());
-    const std::vector<std::byte> body(sent, std::byte{0x5a});
-    (void)end->write_all(body.data(), body.size());
-    end->close();
-  });
 }
 
 struct ClaimingPair {

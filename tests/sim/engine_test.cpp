@@ -168,6 +168,50 @@ TEST(Engine, StaleIdDoesNotCancelTheEventThatReusedItsSlot) {
   EXPECT_TRUE(fired);
 }
 
+TEST(Engine, RetimeKeepsTheCallbackAndMovesTheEvent) {
+  Engine eng;
+  auto held = std::make_shared<int>(7);
+  std::vector<SimTime> fired;
+  const auto id = eng.schedule_at(10, [&fired, &eng, held] { fired.push_back(eng.now()); });
+  eng.schedule_at(20, [&] { fired.push_back(-eng.now()); });
+  const auto later = eng.retime(id, 30);
+  ASSERT_NE(later, 0u);
+  EXPECT_EQ(held.use_count(), 2) << "retime keeps the callback";
+  EXPECT_EQ(eng.events_pending(), 2u);
+  eng.cancel(id);  // the old id is dead
+  EXPECT_EQ(eng.events_pending(), 2u);
+  const auto now = eng.retime(later, 0);
+  EXPECT_EQ(eng.retime(later, 5), 0u) << "a retimed-away id is dead";
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{0, -20}));
+  EXPECT_EQ(eng.retime(now, 40), 0u) << "a fired id is dead";
+  EXPECT_EQ(held.use_count(), 1);
+}
+
+// FluidResource relies on this: re-arming its timer with retime() fires
+// exactly as cancel + schedule did, because both reuse the same slot.
+TEST(Engine, RetimeReturnsTheIdThatCancelPlusScheduleWould) {
+  Engine a;
+  Engine b;
+  std::vector<Engine::EventId> ia;
+  std::vector<Engine::EventId> ib;
+  for (SimTime t : {7, 3, 9, 0, 3}) {
+    ia.push_back(a.schedule_at(t, [] {}));
+    ib.push_back(b.schedule_at(t, [] {}));
+  }
+  a.run_until(1);
+  b.run_until(1);
+  const SimTime moves[][2] = {{0, 2}, {2, 8}, {4, 1}, {1, 1}, {2, 5}};
+  for (const auto& m : moves) {
+    const auto i = static_cast<std::size_t>(m[0]);
+    ia[i] = a.retime(ia[i], m[1]);
+    b.cancel(ib[i]);
+    ib[i] = b.schedule_at(m[1], [] {});
+    EXPECT_EQ(ia[i], ib[i]);
+  }
+  EXPECT_EQ(a.run(), b.run());
+}
+
 TEST(Engine, ScheduleIntoThePastFailsFastInEveryBuild) {
   EXPECT_DEATH(
       {
@@ -188,21 +232,25 @@ TEST(Engine, ScheduleIntoThePastFailsFastInEveryBuild) {
 // ---------------------------------------------------------------------------
 // Model-based check of the event core, in the style of sched_model_test.
 //
-// Seeded random streams of schedule / resume / cancel / run_until / run ops
-// drive the real Engine and a reference model side by side. The model is a
-// vector of pending events kept sorted by (time, scheduling sequence); the
-// engine must fire exactly its front, at exactly its time. Events carry
-// actions to perform when they fire (nested schedules, cancelling
-// themselves or a same-time sibling), so re-entrant use is covered too.
-// After every op, and inside every fired event, now(), events_processed()
-// and events_pending() must agree with the model. A failing stream is
-// shrunk greedily and printed with its seed; replay with
+// Seeded random streams of schedule / resume / cancel / retime / run_until /
+// run ops drive the real Engine and a reference model side by side. The
+// model is a vector of pending events kept sorted by (time, scheduling
+// sequence), where a retime counts as a fresh scheduling; the engine must
+// fire exactly its front, at exactly its time. It knows nothing of the
+// engine's run queue, so events due at the current instant (which the
+// engine keeps in its FIFO) and heap events must interleave exactly as one
+// ordered queue would. Events carry actions to perform when they fire
+// (nested schedules, retimes, cancelling themselves or a same-time
+// sibling), so re-entrant use is covered too. After every op, and inside
+// every fired event, now(), events_processed() and events_pending() must
+// agree with the model. Half the streams are zero-delay heavy. A failing
+// stream is shrunk greedily and printed with its seed; replay with
 // IOFWD_TEST_SEED=0x...
 //
-// Cancels pick their victim when they run (the i-th pending event, the
-// i-th already-fired or cancelled one, ...) and are skipped when nothing
-// qualifies, so every subsequence of a stream is well-formed and shrinking
-// is sound.
+// Cancels and retimes pick their victim when they run (the i-th pending
+// event, the i-th already-fired or cancelled id, ...) and are skipped when
+// nothing qualifies, so every subsequence of a stream is well-formed and
+// shrinking is sound.
 // ---------------------------------------------------------------------------
 
 enum class Kind : std::uint8_t {
@@ -215,6 +263,8 @@ enum class Kind : std::uint8_t {
   cancel_unknown,  // an id the engine never issued
   cancel_self,     // in an event: the event that is running
   cancel_sibling,  // in an event: the pick-th pending event at the current time
+  retime,          // the pick-th pending event, to now + dt
+  retime_dead,     // the pick-th fired, cancelled or retimed-away id
   run_until,       // top level: run to now + dt
   run,             // top level: run dry
 };
@@ -230,6 +280,8 @@ const char* name(Kind k) {
     case Kind::cancel_unknown: return "cancel(unknown)";
     case Kind::cancel_self: return "cancel(self)";
     case Kind::cancel_sibling: return "cancel(same-time sibling)";
+    case Kind::retime: return "retime(pending)";
+    case Kind::retime_dead: return "retime(fired or cancelled)";
     case Kind::run_until: return "run_until";
     case Kind::run: return "run";
   }
@@ -248,7 +300,9 @@ bool is_resume(Kind k) { return k == Kind::resume_at || k == Kind::resume_after;
 
 void describe(std::ostream& os, const Op& op, int depth) {
   os << std::string(static_cast<std::size_t>(2 + 2 * depth), ' ') << name(op.kind);
-  if (is_schedule(op.kind) || op.kind == Kind::run_until) os << " dt=" << op.dt;
+  if (is_schedule(op.kind) || op.kind == Kind::run_until || op.kind == Kind::retime) {
+    os << " dt=" << op.dt;
+  }
   if (!is_schedule(op.kind) && op.kind != Kind::run_until && op.kind != Kind::run) {
     os << " pick=" << op.pick;
   }
@@ -276,13 +330,25 @@ struct Resumer {
   std::coroutine_handle<promise_type> h;
 };
 
-// How often the random streams hit the cases that are easy to miss.
+// How often the random streams hit the cases that are easy to miss. An
+// event is "zero-delay" when it was scheduled (or retimed) for the instant
+// it was scheduled at, so the engine runs it from its run queue.
 struct Coverage {
   std::uint64_t stale_reused = 0;  // cancel of a dead id whose slot is live again
   std::uint64_t self = 0;
   std::uint64_t sibling = 0;
   std::uint64_t nested = 0;
   std::uint64_t resumes = 0;
+  std::uint64_t zero_at = 0;           // schedule_at / resume_at for now()
+  std::uint64_t zero_after = 0;        // schedule_after / resume_after with dt == 0
+  std::uint64_t negative_after = 0;    // ... with dt < 0
+  std::uint64_t cancel_zero_nested = 0;  // a pending zero-delay event cancelled in an event
+  std::uint64_t retime_earlier = 0;
+  std::uint64_t retime_later = 0;
+  std::uint64_t retime_now = 0;        // retimed to now(): into the run queue
+  std::uint64_t retime_dead = 0;
+  std::uint64_t heap_before_zero = 0;  // a heap event fired while a later zero-delay one waits
+  std::uint64_t run_until_zero = 0;    // run_until fired a zero-delay event at its limit
 };
 
 class Harness {
@@ -315,10 +381,16 @@ class Harness {
                   std::to_string(eng_.now()) + ", model wants #" + std::to_string(want.tag) +
                   " at t=" + std::to_string(want.t));
     }
+    if (!zero_[tag] && std::any_of(pending_.begin() + 1, pending_.end(), [&](const Pending& p) {
+          return p.t == want.t && zero_[p.tag];
+        })) {
+      ++cov_.heap_before_zero;
+    }
+    if (zero_[tag] && limit_ == want.t) ++cov_.run_until_zero;
     pending_.erase(pending_.begin());
     now_ = want.t;
     ++processed_;
-    dead_.push_back(tag);
+    dead_.push_back(ids_[tag]);
     check_counters();
     const std::optional<std::size_t> outer = std::exchange(running_, tag);
     for (const Op& op : *actions_[tag]) {
@@ -333,12 +405,17 @@ class Harness {
  private:
   struct Pending {
     SimTime t;
-    std::size_t tag;  // scheduling order, so (t, tag) is the engine's order
+    std::uint64_t order;  // scheduling or retiming order, so (t, order) is the engine's order
+    std::size_t tag;      // which event (fixed for its life; a retime keeps it)
   };
 
   static Resumer resumer(Harness& hs, std::size_t tag) {
     hs.fired(tag);
     co_return;
+  }
+
+  static std::uint32_t slot_of(Engine::EventId id) {
+    return static_cast<std::uint32_t>(id & ((Engine::EventId{1} << Engine::kSlotBits) - 1));
   }
 
   void apply(const Op& op) {
@@ -366,7 +443,7 @@ class Harness {
       case Kind::cancel_self:
         if (running_) {
           ++cov_.self;
-          cancel_dead(*running_);
+          cancel_dead(ids_[*running_]);
         }
         return;
       case Kind::cancel_sibling: {
@@ -379,10 +456,22 @@ class Harness {
         cancel_tag(same[op.pick % same.size()]);
         return;
       }
+      case Kind::retime:
+        if (!pending_.empty()) retime(op.pick % pending_.size(), now_ + std::max<SimTime>(op.dt, 0));
+        return;
+      case Kind::retime_dead:
+        if (dead_.empty()) return;
+        ++cov_.retime_dead;
+        if (eng_.retime(dead_[op.pick % dead_.size()], now_ + 1) != 0) {
+          return fail("retime of a fired or cancelled id returned a new id");
+        }
+        return;
       case Kind::run_until: {
         const SimTime limit = now_ + op.dt;
         const std::uint64_t before = processed_;
+        limit_ = limit;
         const std::uint64_t n = eng_.run_until(limit);
+        limit_.reset();
         if (error_) return;
         if (!pending_.empty() && pending_.front().t <= limit) {
           return fail("run_until(" + std::to_string(limit) + ") left event #" +
@@ -407,6 +496,9 @@ class Harness {
   void schedule(const Op& op) {
     const bool absolute = op.kind == Kind::schedule_at || op.kind == Kind::resume_at;
     const SimTime t = now_ + std::max<SimTime>(op.dt, 0);
+    if (t == now_) {
+      ++(absolute ? cov_.zero_at : op.dt == 0 ? cov_.zero_after : cov_.negative_after);
+    }
     const std::size_t tag = ids_.size();
     actions_.push_back(&op.on_fire);
     Engine::EventId id = 0;
@@ -419,30 +511,51 @@ class Harness {
       auto cb = [this, tag] { fired(tag); };
       id = absolute ? eng_.schedule_at(t, cb) : eng_.schedule_after(op.dt, cb);
     }
-    if (!ids_.empty() && ids_.back() >= id) {
-      return fail("event ids are not increasing in scheduling order");
-    }
-    ids_.push_back(id);
-    const auto at = std::upper_bound(
-        pending_.begin(), pending_.end(), Pending{t, tag},
-        [](const Pending& a, const Pending& b) { return a.t != b.t ? a.t < b.t : a.tag < b.tag; });
-    pending_.insert(at, Pending{t, tag});
+    ids_.push_back(0);
+    zero_.push_back(false);
+    enqueue(tag, t, id);
+  }
+
+  // The model's side of a schedule or retime that gave `tag` the id `id`.
+  void enqueue(std::size_t tag, SimTime t, Engine::EventId id) {
+    if (id <= last_id_) return fail("event ids are not increasing in scheduling order");
+    last_id_ = id;
+    ids_[tag] = id;
+    zero_[tag] = t == now_;
+    const Pending p{t, next_order_++, tag};
+    const auto at =
+        std::upper_bound(pending_.begin(), pending_.end(), p, [](const Pending& a, const Pending& b) {
+          return a.t != b.t ? a.t < b.t : a.order < b.order;
+        });
+    pending_.insert(at, p);
+  }
+
+  void retime(std::size_t i, SimTime t) {
+    const Pending old = pending_[i];
+    ++(t == now_ ? cov_.retime_now : t < old.t ? cov_.retime_earlier : cov_.retime_later);
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+    const Engine::EventId old_id = ids_[old.tag];
+    dead_.push_back(old_id);
+    const Engine::EventId id = eng_.retime(old_id, t);
+    if (id == 0) return fail("retime of a pending event returned 0");
+    if (slot_of(id) != slot_of(old_id)) return fail("retime moved the event to another slot");
+    enqueue(old.tag, t, id);
   }
 
   void cancel_tag(std::size_t tag) {
+    if (running_ && zero_[tag]) ++cov_.cancel_zero_nested;
     pending_.erase(std::find_if(pending_.begin(), pending_.end(),
                                 [&](const Pending& p) { return p.tag == tag; }));
-    dead_.push_back(tag);
+    dead_.push_back(ids_[tag]);
     eng_.cancel(ids_[tag]);
   }
 
   // The model does nothing; the engine must do nothing either.
-  void cancel_dead(std::size_t tag) {
-    constexpr Engine::EventId kSlotMask = (Engine::EventId{1} << Engine::kSlotBits) - 1;
+  void cancel_dead(Engine::EventId id) {
     for (const Pending& p : pending_) {
-      if ((ids_[p.tag] & kSlotMask) == (ids_[tag] & kSlotMask)) ++cov_.stale_reused;
+      if (slot_of(ids_[p.tag]) == slot_of(id)) ++cov_.stale_reused;
     }
-    eng_.cancel(ids_[tag]);
+    eng_.cancel(id);
   }
 
   void check_counters() {
@@ -470,11 +583,15 @@ class Harness {
   Engine eng_;
   SimTime now_ = 0;
   std::uint64_t processed_ = 0;
-  std::vector<Pending> pending_;  // sorted by (t, tag)
-  std::vector<std::size_t> dead_;
-  std::vector<Engine::EventId> ids_;                 // by tag
-  std::vector<const std::vector<Op>*> actions_;      // by tag
+  std::vector<Pending> pending_;  // sorted by (t, order)
+  std::uint64_t next_order_ = 0;
+  Engine::EventId last_id_ = 0;
+  std::vector<Engine::EventId> dead_;              // fired, cancelled and retimed-away ids
+  std::vector<Engine::EventId> ids_;               // by tag: the current id
+  std::vector<bool> zero_;                         // by tag: due at the instant it was queued at
+  std::vector<const std::vector<Op>*> actions_;    // by tag
   std::optional<std::size_t> running_;
+  std::optional<SimTime> limit_;                   // inside run_until(limit_)
   std::string where_;
   std::optional<std::string> error_;
 };
@@ -501,48 +618,60 @@ std::vector<Op> minimize(std::vector<Op> ops) {
   return ops;
 }
 
-Op random_op(Rng& rng, int depth) {
+// `zero_heavy` streams schedule, retime and run_until mostly with no delay,
+// so the engine's run queue holds most events and cancels and retimes hit
+// it often.
+Op random_op(Rng& rng, int depth, bool zero_heavy) {
   Op op;
   const std::uint64_t r = rng.below(100);
   // Small time steps: many events share a time, so the sequence tie-break
   // and same-time cancels get exercised.
   if (depth == 0) {
-    op.kind = r < 18   ? Kind::schedule_at
-              : r < 30 ? Kind::schedule_after
-              : r < 42 ? Kind::resume_at
-              : r < 50 ? Kind::resume_after
-              : r < 62 ? Kind::cancel_pending
-              : r < 72 ? Kind::cancel_dead
-              : r < 76 ? Kind::cancel_unknown
+    op.kind = r < 16   ? Kind::schedule_at
+              : r < 27 ? Kind::schedule_after
+              : r < 38 ? Kind::resume_at
+              : r < 46 ? Kind::resume_after
+              : r < 56 ? Kind::cancel_pending
+              : r < 64 ? Kind::cancel_dead
+              : r < 67 ? Kind::cancel_unknown
+              : r < 74 ? Kind::retime
+              : r < 77 ? Kind::retime_dead
               : r < 94 ? Kind::run_until
                        : Kind::run;
   } else {
-    op.kind = r < 20   ? Kind::schedule_at
-              : r < 32 ? Kind::schedule_after
-              : r < 44 ? Kind::resume_at
-              : r < 52 ? Kind::resume_after
-              : r < 62 ? Kind::cancel_pending
-              : r < 72 ? Kind::cancel_dead
-              : r < 76 ? Kind::cancel_unknown
-              : r < 86 ? Kind::cancel_self
-                       : Kind::cancel_sibling;
+    op.kind = r < 18   ? Kind::schedule_at
+              : r < 29 ? Kind::schedule_after
+              : r < 40 ? Kind::resume_at
+              : r < 48 ? Kind::resume_after
+              : r < 56 ? Kind::cancel_pending
+              : r < 63 ? Kind::cancel_dead
+              : r < 66 ? Kind::cancel_unknown
+              : r < 74 ? Kind::cancel_self
+              : r < 84 ? Kind::cancel_sibling
+              : r < 94 ? Kind::retime
+                       : Kind::retime_dead;
   }
   op.pick = rng.next();
   const bool after = op.kind == Kind::schedule_after || op.kind == Kind::resume_after;
   op.dt = static_cast<SimTime>(rng.below(after ? 16 : 12)) - (after ? 4 : 0);
-  if (op.kind == Kind::run_until) op.dt = static_cast<SimTime>(rng.below(20));
+  if (zero_heavy && (is_schedule(op.kind) || op.kind == Kind::retime) && rng.below(100) < 70) {
+    op.dt = after ? -static_cast<SimTime>(rng.below(3)) : 0;
+  }
+  if (op.kind == Kind::run_until) {
+    op.dt = zero_heavy && rng.below(100) < 40 ? 0 : static_cast<SimTime>(rng.below(20));
+  }
   if (is_schedule(op.kind) && depth < 2 && rng.below(100) < 35) {
     const std::uint64_t n = 1 + rng.below(3);
-    for (std::uint64_t i = 0; i < n; ++i) op.on_fire.push_back(random_op(rng, depth + 1));
+    for (std::uint64_t i = 0; i < n; ++i) op.on_fire.push_back(random_op(rng, depth + 1, zero_heavy));
   }
   return op;
 }
 
-std::vector<Op> generate(std::uint64_t seed, std::size_t count) {
+std::vector<Op> generate(std::uint64_t seed, std::size_t count, bool zero_heavy) {
   Rng rng(seed);
   std::vector<Op> ops;
   ops.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) ops.push_back(random_op(rng, 0));
+  for (std::size_t i = 0; i < count; ++i) ops.push_back(random_op(rng, 0, zero_heavy));
   return ops;
 }
 
@@ -551,7 +680,7 @@ TEST(EngineModel, RandomStreamsMatchReferenceModel) {
   Rng salt(seed);
   Coverage cov;
   for (int round = 0; round < 60; ++round) {
-    const auto ops = generate(salt.next(), 200);
+    const auto ops = generate(salt.next(), 200, /*zero_heavy=*/round % 2 == 1);
     auto err = run_stream(ops, cov);
     if (!err) continue;
     const auto minimal = minimize(ops);
@@ -570,6 +699,16 @@ TEST(EngineModel, RandomStreamsMatchReferenceModel) {
   EXPECT_GT(cov.sibling, 0u);
   EXPECT_GT(cov.nested, 0u);
   EXPECT_GT(cov.resumes, 0u);
+  EXPECT_GT(cov.zero_at, 0u);
+  EXPECT_GT(cov.zero_after, 0u);
+  EXPECT_GT(cov.negative_after, 0u);
+  EXPECT_GT(cov.cancel_zero_nested, 0u);
+  EXPECT_GT(cov.retime_earlier, 0u);
+  EXPECT_GT(cov.retime_later, 0u);
+  EXPECT_GT(cov.retime_now, 0u);
+  EXPECT_GT(cov.retime_dead, 0u);
+  EXPECT_GT(cov.heap_before_zero, 0u);
+  EXPECT_GT(cov.run_until_zero, 0u);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -129,6 +132,75 @@ TEST(Process, ManySpawnsAllComplete) {
   eng.run();
   EXPECT_EQ(out.size(), 1000u);
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+}
+
+// ---------------------------------------------------------------------------
+// Frame recycling (detail::FramePool). The pool is compiled out under
+// AddressSanitizer, so these tests have nothing to check there.
+// ---------------------------------------------------------------------------
+
+using detail::FramePool;
+
+// A frame that holds N words across its suspension; records where they live.
+template <std::size_t N>
+Proc<void> frame_of(Engine& eng, std::vector<std::uintptr_t>& where, std::uint64_t& sink) {
+  std::array<std::uint64_t, N> words{};
+  words[N - 1] = where.size();
+  where.push_back(reinterpret_cast<std::uintptr_t>(words.data()));
+  co_await Delay{eng, 1};
+  sink += words[N - 1];
+}
+
+TEST(FramePool, RecyclesFramesOfEachSizeClass) {
+  if (!FramePool::kEnabled) GTEST_SKIP() << "frame pool compiled out under AddressSanitizer";
+  static_assert(sizeof(std::uint64_t) * 64 < FramePool::kMaxBytes);
+  Engine eng;
+  std::uint64_t sink = 0;
+  std::vector<std::uintptr_t> small, large;
+  for (int round = 0; round < 3; ++round) {
+    eng.spawn(frame_of<2>(eng, small, sink));
+    eng.spawn(frame_of<64>(eng, large, sink));
+    eng.run();
+  }
+  ASSERT_EQ(small.size(), 3u);
+  ASSERT_EQ(large.size(), 3u);
+  // Each round's frames are the blocks the previous round freed.
+  EXPECT_EQ(small[1], small[0]);
+  EXPECT_EQ(small[2], small[0]);
+  EXPECT_EQ(large[1], large[0]);
+  EXPECT_EQ(large[2], large[0]);
+  EXPECT_NE(small[0], large[0]);
+}
+
+TEST(FramePool, FramesAboveTheLargestClassAreNotCached) {
+  if (!FramePool::kEnabled) GTEST_SKIP() << "frame pool compiled out under AddressSanitizer";
+  static_assert(sizeof(std::uint64_t) * 512 > FramePool::kMaxBytes);
+  Engine eng;
+  std::uint64_t sink = 0;
+  std::vector<std::uintptr_t> where;
+  const std::size_t cached = FramePool::cached();
+  eng.spawn(frame_of<512>(eng, where, sink));
+  eng.run();
+  EXPECT_EQ(FramePool::cached(), cached);
+}
+
+TEST(FramePool, ThreadExitFreesItsCachedFrames) {
+  if (!FramePool::kEnabled) GTEST_SKIP() << "frame pool compiled out under AddressSanitizer";
+  const std::uint64_t reaped = FramePool::reaped();
+  std::size_t cached = 0;
+  std::thread([&] {
+    Engine eng;
+    std::uint64_t sink = 0;
+    std::vector<std::uintptr_t> where;
+    for (int i = 0; i < 4; ++i) {
+      eng.spawn(frame_of<2>(eng, where, sink));
+      eng.spawn(frame_of<64>(eng, where, sink));
+    }
+    eng.run();
+    cached = FramePool::cached();
+  }).join();
+  EXPECT_EQ(cached, 8u) << "all eight frames were live at once, so none was reused";
+  EXPECT_EQ(FramePool::reaped() - reaped, cached);
 }
 
 }  // namespace

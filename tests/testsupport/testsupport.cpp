@@ -1,5 +1,6 @@
 #include "testsupport/testsupport.hpp"
 
+#include <array>
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
@@ -37,6 +38,32 @@ bool unix_send_buffers_unclamped() {
   std::ifstream in("/proc/sys/net/core/wmem_max");
   std::uint64_t wmem_max = 0;
   return static_cast<bool>(in >> wmem_max) && wmem_max >= (2u << 20);
+}
+
+std::jthread claiming_server(std::unique_ptr<rt::SocketTransport> end, std::uint64_t claimed,
+                             std::size_t sent, std::uint64_t seq_shift) {
+  return std::jthread([end = std::move(end), claimed, sent, seq_shift] {
+    using rt::FrameHeader;
+    std::array<std::byte, FrameHeader::kWireSize> buf{};
+    if (!end->read_exact(buf.data(), buf.size()).is_ok()) return;
+    auto req = FrameHeader::decode(std::span<const std::byte, FrameHeader::kWireSize>(buf));
+    if (!req.is_ok()) return;
+    if (req.value().op != rt::OpCode::read) {
+      std::vector<std::byte> body(req.value().payload_len);
+      if (!end->read_exact(body.data(), body.size()).is_ok()) return;
+    }
+    FrameHeader rep;
+    rep.type = rt::MsgType::reply;
+    rep.op = req.value().op;
+    rep.fd = req.value().fd;
+    rep.seq = req.value().seq + seq_shift;
+    rep.payload_len = claimed;
+    rep.encode(std::span<std::byte, FrameHeader::kWireSize>(buf));
+    (void)end->write_all(buf.data(), buf.size());
+    const std::vector<std::byte> body(sent, std::byte{0x5a});
+    (void)end->write_all(body.data(), body.size());
+    end->close();
+  });
 }
 
 std::unique_ptr<rt::IoBackend> TestCluster::make_backend_chain(int shard) {

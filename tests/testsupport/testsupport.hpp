@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/ion_cluster.hpp"
@@ -84,6 +85,14 @@ std::uint64_t test_seed(const char* label, std::uint64_t dflt);
 // through unclamped (the kernel then reports 4 MiB). Tests that pin
 // frame-sized AF_UNIX send buffers GTEST_SKIP otherwise.
 bool unix_send_buffers_unclamped();
+
+// A hand-rolled server on `end` (one side of a socketpair) for tests of a
+// client's reply handling: it reads one request, answers with an ok reply
+// header for seq + `seq_shift` claiming `claimed` payload bytes, sends
+// `sent` of them, then closes. A client that trusted an oversized claim
+// would wait for the rest and then fail with shutdown, not protocol_error.
+std::jthread claiming_server(std::unique_ptr<rt::SocketTransport> end, std::uint64_t claimed,
+                             std::size_t sent, std::uint64_t seq_shift = 0);
 
 struct ClusterOptions {
   rt::ServerConfig server;      // knobs pass through untouched
