@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
       fc.bml_bytes = mb << 20;
       auto r = wl::run_stream(proto::Mechanism::zoid_sched_async, base_cfg, fc, p);
       rep.add(std::to_string(mb) + "MiB", "throughput", r.throughput_mib_s);
-      rep.add(std::to_string(mb) + "MiB", "staging blocks", static_cast<double>(r.stats.bml_blocked));
+      rep.add(std::to_string(mb) + "MiB", "staging blocks", static_cast<double>(r.bml_blocked));
     }
     analysis::emit(rep);
   }

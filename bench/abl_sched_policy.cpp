@@ -22,8 +22,10 @@ int main(int argc, char** argv) {
   analysis::FigureReport rep("abl_sched_policy",
                              "Ablation: queue policy under mixed bulk+interactive load",
                              "policy", "see series");
-  for (auto pol : {proto::QueuePolicy::fifo, proto::QueuePolicy::sjf,
-                   proto::QueuePolicy::priority}) {
+  const std::pair<rt::SchedPolicy, const char*> rows[] = {
+      {rt::SchedPolicy::fifo, "fifo"}, {rt::SchedPolicy::sjf, "sjf"},
+      {rt::SchedPolicy::prio, "priority"}};
+  for (const auto& [pol, x] : rows) {
     proto::ForwarderConfig fc;
     fc.policy = pol;
     // Two workers instead of four: the pool (not the tree) becomes the
@@ -31,7 +33,6 @@ int main(int argc, char** argv) {
     // where ordering policy matters.
     fc.workers = 2;
     const auto r = wl::run_priority(proto::Mechanism::zoid_sched, cfg, fc, p);
-    const auto x = proto::to_string(pol);
     rep.add(x, "bulk MiB/s", r.bulk_throughput_mib_s);
     rep.add(x, "interactive p50 us", r.interactive_mean_latency_us);
     rep.add(x, "interactive p99 us", r.interactive_p99_latency_us);

@@ -141,16 +141,20 @@ int main(int argc, char** argv) {
     bbr = run_burst(bbuf, *counter, chunks_per_rank, chunk);
     record("burst buffer", bbr);
 
-    const auto s = bbuf.stats();
+    const auto s = bbuf.metrics();
+    const auto writes_in = static_cast<double>(s.counter("bb.writes_in"));
+    const auto backend_writes = static_cast<double>(s.counter("bb.backend_writes"));
+    const auto read_bytes = static_cast<double>(s.counter("bb.read_bytes"));
     analysis::BurstBufferDiag d;
-    d.hit_rate = s.hit_rate();
-    d.coalesce_ratio = s.coalesce_ratio();
-    d.flushed_bytes = s.flushed_bytes;
-    d.cached_high_watermark = s.cached_high_watermark;
+    d.hit_rate =
+        read_bytes > 0 ? static_cast<double>(s.counter("bb.read_hit_bytes")) / read_bytes : 0.0;
+    d.coalesce_ratio = backend_writes > 0 ? writes_in / backend_writes : writes_in;
+    d.flushed_bytes = s.counter("bb.flushed_bytes");
+    d.cached_high_watermark = static_cast<std::uint64_t>(s.gauge("bb.cached_high_watermark"));
     d.capacity_bytes = bbuf.config().capacity_bytes;
-    d.stall_ns = s.stall_ns;
-    d.evictions = s.evictions;
-    d.deferred_errors = s.deferred_errors;
+    d.stall_ns = s.counter("bb.stall_ns");
+    d.evictions = s.counter("bb.evictions");
+    d.deferred_errors = s.counter("bb.deferred_errors");
     std::fputs(analysis::burst_buffer_table(d).render().c_str(), stdout);
   }
 

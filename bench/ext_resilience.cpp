@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
     // Retried: the same seeded fault schedule, absorbed by the retry loop.
     {
       RunResult best;
-      fault::RetryStats best_stats;
+      obs::Snapshot best_stats;
       for (int rep_i = 0; rep_i < kReps; ++rep_i) {
         auto plan = std::make_shared<fault::FaultPlan>(kSeed);
         if (rate > 0) {
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
         const auto r = run_burst(be, writes, chunk);
         if (r.goodput_gib_s > best.goodput_gib_s) {
           best = r;
-          best_stats = be.stats();
+          best_stats = be.registry().snapshot();
         }
       }
       rep.add("retry on", "goodput GiB/s @" + pct(rate), best.goodput_gib_s);
@@ -139,12 +139,12 @@ int main(int argc, char** argv) {
       if (rate == 0.0) baseline_retry = best.goodput_gib_s;
       if (rate == 0.01) {
         retry_at_1pct = best.goodput_gib_s;
-        giveups_at_1pct = best_stats.giveups;
+        giveups_at_1pct = best_stats.counter("retry.giveups");
         analysis::ResilienceDiag d;
-        d.retry_attempts = best_stats.attempts;
-        d.retries = best_stats.retries;
-        d.retry_giveups = best_stats.giveups;
-        d.backoff_ns = best_stats.backoff_ns;
+        d.retry_attempts = best_stats.counter("retry.attempts");
+        d.retries = best_stats.counter("retry.retries");
+        d.retry_giveups = giveups_at_1pct;
+        d.backoff_ns = best_stats.counter("retry.backoff_ns");
         std::printf("retry ledger at %s fault rate:\n", pct(rate).c_str());
         std::fputs(analysis::resilience_table(d).render().c_str(), stdout);
       }

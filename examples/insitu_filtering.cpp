@@ -72,12 +72,11 @@ int main() {
   }
   if (!client.close(1).is_ok()) return 1;
 
-  const auto s = server.stats();
+  const auto s = server.metrics();
+  const auto in = static_cast<double>(s.counter("server.filter_bytes_in"));
+  const auto out = static_cast<double>(s.counter("server.filter_bytes_out"));
   std::printf("\napplication wrote %.2f MiB; storage received %.2f MiB (%.0f%% reduction)\n",
-              static_cast<double>(s.filter_bytes_in) / (1 << 20),
-              static_cast<double>(s.filter_bytes_out) / (1 << 20),
-              100.0 * (1.0 - static_cast<double>(s.filter_bytes_out) /
-                                 static_cast<double>(s.filter_bytes_in)));
+              in / (1 << 20), out / (1 << 20), 100.0 * (1.0 - out / in));
   std::printf("aggregation: %llu client writes -> %llu backend writes; stored file: %.2f MiB\n",
               static_cast<unsigned long long>(agg_raw->writes_in()),
               static_cast<unsigned long long>(agg_raw->writes_out()),

@@ -44,7 +44,8 @@
 // Scheduling / QoS knobs (DESIGN.md §17):
 // sched=P           work-queue dispatch policy: fifo (default), prio
 //                   (header priority classes), edf (earliest deadline_ms
-//                   first), fair (deficit round-robin on bytes per tenant)
+//                   first), fair (deficit round-robin on bytes per tenant),
+//                   sjf (smallest payload first)
 // sched_quantum_kib=N  fair policy's per-tenant byte quantum (default 256)
 // qos_bytes_per_sec=N  per-tenant byte budget; over-budget writes demote to
 //                   synchronous staging (0 = unlimited)
@@ -133,7 +134,7 @@ int main(int argc, char** argv) {
                  "usage: %s <socket-path> [exec=async|queue|thread] [workers=N] "
                  "[recv_lanes=N] [root=DIR] [bml_mib=N] [bb_mib=N] [shards=N] "
                  "[cluster_bb_mib=N] [bb_journal=DIR] [bb_journal_fsync=0|1] "
-                 "[sched=fifo|prio|edf|fair] [sched_quantum_kib=N] "
+                 "[sched=fifo|prio|edf|fair|sjf] [sched_quantum_kib=N] "
                  "[qos_bytes_per_sec=N] [qos_ops_per_sec=N] "
                  "[--trace-out=FILE] [stats_interval_s=N] [flight_ops=N]\n",
                  argv[0]);
@@ -176,7 +177,7 @@ int main(int argc, char** argv) {
   if (auto pol = rt::parse_sched_policy(sched)) {
     cfg.sched = *pol;
   } else {
-    std::fprintf(stderr, "%s: error: sched=%s (want fifo|prio|edf|fair)\n", argv[0],
+    std::fprintf(stderr, "%s: error: sched=%s (want fifo|prio|edf|fair|sjf)\n", argv[0],
                  sched.c_str());
     return 2;
   }
@@ -243,7 +244,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto snapshot = [&] { return fleet ? fleet->metrics() : registry.snapshot(); };
+  const auto snapshot = [&] { return fleet ? fleet->metrics() : server->metrics(); };
   const auto sum_counter = [&](const obs::Snapshot& snap, const std::string& name) {
     if (!fleet) return snap.counter(name);
     std::uint64_t sum = 0;
@@ -353,28 +354,20 @@ int main(int argc, char** argv) {
     server->stop();
   }
 
-  rt::ServerStats s{};
-  if (fleet) {
-    for (int i = 0; i < shards; ++i) {
-      const auto ss = fleet->shard(i).stats();
-      s.ops += ss.ops;
-      s.bytes_in += ss.bytes_in;
-      s.bytes_out += ss.bytes_out;
-      s.deferred_errors += ss.deferred_errors;
-      s.bb_flushed_bytes += ss.bb_flushed_bytes;
-    }
-  } else {
-    s = server->stats();
-  }
+  const auto snap = snapshot();
   std::printf("shut down: %llu ops, %.1f MiB in, %.1f MiB out, %llu deferred errors\n",
-              static_cast<unsigned long long>(s.ops),
-              static_cast<double>(s.bytes_in) / (1 << 20),
-              static_cast<double>(s.bytes_out) / (1 << 20),
-              static_cast<unsigned long long>(s.deferred_errors));
+              static_cast<unsigned long long>(sum_counter(snap, "server.ops")),
+              static_cast<double>(sum_counter(snap, "server.bytes_in")) / (1 << 20),
+              static_cast<double>(sum_counter(snap, "server.bytes_out")) / (1 << 20),
+              static_cast<unsigned long long>(sum_counter(snap, "server.deferred_errors")));
   if (cfg.bb_bytes > 0 && !fleet) {
+    const auto ratio = [](double num, double den) { return den > 0 ? num / den : num; };
     std::printf("burst buffer: %.0f%% hit rate, %.1fx coalesce, %.1f MiB flushed\n",
-                100.0 * s.bb_hit_rate, s.bb_coalesce_ratio,
-                static_cast<double>(s.bb_flushed_bytes) / (1 << 20));
+                100.0 * ratio(static_cast<double>(snap.counter("bb.read_hit_bytes")),
+                              static_cast<double>(snap.counter("bb.read_bytes"))),
+                ratio(static_cast<double>(snap.counter("bb.writes_in")),
+                      static_cast<double>(snap.counter("bb.backend_writes"))),
+                static_cast<double>(snap.counter("bb.flushed_bytes")) / (1 << 20));
   }
   if (fleet) {
     if (const cluster::ClusterBbBudget* budget = fleet->budget()) {

@@ -88,11 +88,14 @@ int main(int argc, char** argv) {
   threads.clear();  // join
   const auto dt = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-  const auto s = server.stats();
-  const double total_mib = static_cast<double>(s.bytes_in + s.bytes_out) / (1 << 20);
-  std::printf("moved %.0f MiB in %.2f s -> %.1f MiB/s aggregate (%llu ops, %llu batches)\n",
-              total_mib, dt, total_mib / dt, static_cast<unsigned long long>(s.ops),
-              static_cast<unsigned long long>(s.queue_batches));
+  const auto s = server.metrics();
+  const double total_mib =
+      static_cast<double>(s.counter("server.bytes_in") + s.counter("server.bytes_out")) /
+      (1 << 20);
+  std::printf("moved %.0f MiB in %.2f s -> %.1f MiB/s aggregate (%llu ops, %lld batches)\n",
+              total_mib, dt, total_mib / dt,
+              static_cast<unsigned long long>(s.counter("server.ops")),
+              static_cast<long long>(s.gauge("server.queue_batches")));
   if (failures > 0) {
     std::printf("FAILURES: %d\n", failures.load());
     return 1;

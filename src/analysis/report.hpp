@@ -80,8 +80,8 @@ class DiagTable {
 };
 
 // Burst-buffer cache counters in table-ready form. Plain numbers rather than
-// the bb::BurstBufferStats struct keep analysis/ independent of the runtime
-// layers; callers copy the fields across.
+// an obs::Snapshot keep the table's inputs explicit; callers read the bb.*
+// metrics (and derive the two ratios) and copy them across.
 struct BurstBufferDiag {
   double hit_rate = 0.0;        // fraction of read bytes served from cache
   double coalesce_ratio = 0.0;  // incoming writes per backend write
@@ -101,12 +101,12 @@ DiagTable burst_buffer_table(const BurstBufferDiag& d);
 // BurstBufferDiag, plain numbers so analysis/ stays independent of rt/,
 // bb/ and fault/; callers copy the fields they have and leave the rest 0.
 struct ResilienceDiag {
-  // Retry/backoff (fault::RetryingBackend).
+  // Retry/backoff (fault::RetryingBackend, retry.*).
   std::uint64_t retry_attempts = 0;   // backend ops issued, incl. retries
   std::uint64_t retries = 0;          // re-issues after a transient error
   std::uint64_t retry_giveups = 0;    // ops that exhausted the retry budget
   std::uint64_t backoff_ns = 0;       // time spent sleeping between attempts
-  // Server-side (rt::ServerStats).
+  // Server-side (server.* and bb.degraded_writes).
   std::uint64_t deadline_expired = 0;     // ops bounced past their deadline
   std::uint64_t bml_timeouts = 0;         // pool waits past bml_wait_ms
   std::uint64_t degraded_passthrough = 0; // writes served without a BML lease

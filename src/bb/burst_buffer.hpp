@@ -88,40 +88,6 @@ struct BurstBufferConfig {
   std::uint32_t flush_idle_ms = 100;
 };
 
-// Snapshot view over the registry's "bb.*" counters plus instantaneous pool
-// state, assembled by stats(). Deprecated as an API surface; retained so
-// existing tests and benches read fields unchanged.
-struct BurstBufferStats {
-  std::uint64_t writes_in = 0;         // write() calls accepted into the cache
-  std::uint64_t writes_absorbed = 0;   // coalesced into an existing extent
-  std::uint64_t backend_writes = 0;    // write ops issued to the inner backend
-  std::uint64_t bytes_in = 0;
-  std::uint64_t flushed_bytes = 0;     // dirty bytes written back
-  std::uint64_t write_through_bytes = 0;
-  std::uint64_t read_bytes = 0;
-  std::uint64_t read_hit_bytes = 0;    // served from cached extents
-  std::uint64_t evictions = 0;         // clean extents dropped for space
-  std::uint64_t stall_ns = 0;          // writer time blocked on a full cache
-  std::uint64_t stalls = 0;
-  std::uint64_t degraded_writes = 0;   // stalled past max_stall_ms: wrote through
-  std::uint64_t deferred_errors = 0;   // flush failures recorded for later
-  std::uint64_t drains = 0;            // fsync/close/shutdown drain passes
-  std::uint64_t pinned_reads = 0;      // zero-copy reads served via read_pinned
-  std::uint64_t cached_bytes = 0;      // pool bytes leased right now
-  std::uint64_t cached_high_watermark = 0;
-  std::uint64_t dirty_bytes = 0;
-
-  [[nodiscard]] double hit_rate() const {
-    return read_bytes ? static_cast<double>(read_hit_bytes) / static_cast<double>(read_bytes)
-                      : 0.0;
-  }
-  // Ingested writes per backend write: >1 means bursts were coalesced.
-  [[nodiscard]] double coalesce_ratio() const {
-    return backend_writes ? static_cast<double>(writes_in) / static_cast<double>(backend_writes)
-                          : static_cast<double>(writes_in);
-  }
-};
-
 // A zero-copy read lease (DESIGN.md §15): `bytes` views staged data inside
 // the pinned pool lease. The pin keeps the lease alive — and its pool bytes
 // accounted — even if the cache evicts or rewrites the extent meanwhile, so
@@ -169,15 +135,20 @@ class BurstBufferBackend final : public rt::IoBackend {
   // The write-ahead journal, or null when journaling is off (tests/bench).
   [[nodiscard]] Journal* journal() const { return journal_.get(); }
 
-  [[nodiscard]] BurstBufferStats stats() const;
   [[nodiscard]] const BurstBufferConfig& config() const { return cfg_; }
   [[nodiscard]] rt::IoBackend& inner() { return *inner_; }
-  // The registry backing stats() — owned unless BurstBufferConfig::registry
+  // The registry behind metrics() — owned unless BurstBufferConfig::registry
   // was set.
   [[nodiscard]] obs::MetricRegistry& registry() const { return *reg_; }
   // Mirror instantaneous pool/dirty state into the "bb.*" gauges so a
   // registry snapshot is self-contained (IonServer::metrics() calls this).
   void refresh_gauges() const;
+  // refresh_gauges(), then a snapshot of the registry ("bb.*" names in
+  // DESIGN.md §11).
+  [[nodiscard]] obs::Snapshot metrics() const {
+    refresh_gauges();
+    return reg_->snapshot();
+  }
 
  private:
   struct Desc {
@@ -245,8 +216,7 @@ class BurstBufferBackend final : public rt::IoBackend {
   std::atomic<std::uint64_t> dirty_total_{0};
   std::vector<std::jthread> flushers_;
 
-  // Registry-backed counters ("bb.*"); replaces the old mutex-guarded
-  // BurstBufferStats member.
+  // Registry-backed counters ("bb.*").
   std::unique_ptr<obs::MetricRegistry> owned_registry_;
   obs::MetricRegistry* reg_;  // never null
   obs::Counter& c_writes_in_;

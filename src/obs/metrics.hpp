@@ -13,8 +13,8 @@
 //
 // Handles are registered by name ("server.ops", "bb.flushed_bytes", ...) and
 // live as long as the registry; subsystems cache references at construction
-// so the hot path never touches the registration mutex. The legacy *Stats
-// structs survive as snapshot views assembled from registry values, and
+// so the hot path never touches the registration mutex. Callers read values
+// by name from a Snapshot (the names are listed in DESIGN.md §11), and
 // analysis::metrics_table renders any registry Snapshot as a DiagTable.
 //
 // Overhead budget: <2% on the server op path versus no instrumentation,

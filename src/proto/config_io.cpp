@@ -68,10 +68,10 @@ Result<ForwarderConfig> apply_forwarder_config(const Config& cfg, ForwarderConfi
   get_u64(cfg, "forwarder.bml_bytes", f.bml_bytes);
   get_u64(cfg, "forwarder.bml_min_class", f.bml_min_class);
 
-  // Historical values (fifo|sjf|priority) plus the shared rt::SchedPolicy
-  // spelling "prio" (DESIGN.md §17); edf/fair are server-only and rejected.
+  // Any rt::SchedPolicy name (DESIGN.md §17), including the historical
+  // alias "priority" for prio.
   const std::string policy = cfg.get("forwarder.policy", "fifo");
-  if (auto p = parse_queue_policy(policy)) {
+  if (auto p = rt::parse_sched_policy(policy)) {
     f.policy = *p;
   } else {
     return Status(Errc::invalid_argument, "unknown forwarder.policy: " + policy);

@@ -5,7 +5,7 @@
 //
 // Keys mirror the struct fields, e.g.:
 //   machine.num_psets, machine.tree_raw_mb_s, machine.ion_cores, ...
-//   forwarder.workers, forwarder.bml_bytes, forwarder.policy (fifo|sjf|priority)
+//   forwarder.workers, forwarder.bml_bytes, forwarder.policy (fifo|prio|edf|fair|sjf)
 #pragma once
 
 #include "bgp/config.hpp"

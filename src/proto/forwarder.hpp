@@ -18,8 +18,8 @@
 #include "core/status.hpp"
 #include "obs/metrics.hpp"
 #include "proto/descriptor_db.hpp"
-#include "proto/sched_policy.hpp"
 #include "proto/types.hpp"
+#include "rt/scheduler.hpp"
 #include "sim/chrome_trace.hpp"
 #include "sim/process.hpp"
 
@@ -40,9 +40,10 @@ struct ForwarderConfig {
   // always grabbing multiplex_depth (the paper's "simple load-balancing
   // heuristic"). Ablation: bench/abl_load_balance.
   bool balanced_batches = true;
-  // Work-queue ordering policy (fifo = the paper's design; sjf/priority are
-  // the extensions it suggests). See proto/sched_policy.hpp.
-  QueuePolicy policy = QueuePolicy::fifo;
+  // Work-queue ordering policy (fifo = the paper's design; sjf and prio are
+  // the extensions it suggests). The runtime's policies, see
+  // proto/sim_task_queue.hpp.
+  rt::SchedPolicy policy = rt::SchedPolicy::fifo;
   // BML budget for async staging (env-controlled in the paper).
   std::uint64_t bml_bytes = 512ull << 20;
   std::uint64_t bml_min_class = 4096;
@@ -84,14 +85,10 @@ class Forwarder {
   // engine run dry before destroying a forwarder.
   virtual void shutdown() {}
 
-  // Snapshot view assembled from the "fwd.*" registry metrics (deprecated
-  // as an API surface, retained for tests/benches; callers binding
-  // `const auto&` keep working via lifetime extension).
-  [[nodiscard]] ForwarderStats stats() const;
   [[nodiscard]] DescriptorDb& descriptors() { return db_; }
   [[nodiscard]] const sim::ChromeTracer* tracer() const { return tracer_.get(); }
-  // The registry backing stats() — owned unless ForwarderConfig::registry
-  // was set.
+  // The "fwd.*" metrics (DESIGN.md §11) — owned unless
+  // ForwarderConfig::registry was set.
   [[nodiscard]] obs::MetricRegistry& registry() const { return *reg_; }
 
  protected:
@@ -138,15 +135,15 @@ class Forwarder {
   DescriptorDb db_;
   std::unique_ptr<sim::ChromeTracer> tracer_;
 
-  // Registry-backed metrics ("fwd.*"); replaces the old stats_ member.
+  // Registry-backed metrics ("fwd.*").
   std::unique_ptr<obs::MetricRegistry> owned_registry_;
   obs::MetricRegistry* reg_;  // never null
   obs::Counter& c_ops_enqueued_;
   obs::Counter& c_worker_batches_;
   obs::Counter& c_worker_tasks_;
   obs::Counter& c_memory_blocked_;
+  obs::Counter& c_bml_blocked_;
   obs::Gauge& g_max_queue_depth_;
-  obs::Gauge& g_bml_blocked_;
 
   sim::Engine& eng_;
   const bgp::MachineConfig& mc_;

@@ -34,7 +34,14 @@ void QueueForwarder::shutdown() {
 void QueueForwarder::enqueue(QTask t) {
   ++outstanding_;
   c_ops_enqueued_.inc();
-  queue_.push(std::move(t));
+  // The task as the runtime's schedulers see it: the CN is the tenant, the
+  // sink's stream priority the class.
+  rt::SchedMeta meta;
+  meta.tenant = static_cast<std::uint64_t>(t.cn_id);
+  meta.klass =
+      static_cast<std::uint8_t>(std::clamp<int>(t.sink.priority, 0, rt::kMaxPriorityClass));
+  meta.bytes = t.bytes;
+  queue_.push(meta, std::move(t));
   g_max_queue_depth_.update_max(static_cast<std::int64_t>(queue_.size()));
   if (tracer_) tracer_->counter("queue_depth", static_cast<double>(queue_.size()));
 }
@@ -82,7 +89,9 @@ sim::Proc<Status> QueueForwarder::write(int cn_id, int fd, std::uint64_t bytes, 
       t.sink = sink;
       // Blocks if the pool is exhausted until queued operations complete.
       t.bml_class = co_await bml_.acquire(n);
-      g_bml_blocked_.set(static_cast<std::int64_t>(bml_.blocked_acquires()));
+      // Forwarders may share one registry: add this pool's new blocks.
+      c_bml_blocked_.add(bml_.blocked_acquires() - bml_blocked_counted_);
+      bml_blocked_counted_ = bml_.blocked_acquires();
       co_await tree_data_in(n);
       if (fd >= 0) {
         auto seq = db_.begin_op(fd);

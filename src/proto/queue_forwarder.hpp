@@ -19,7 +19,7 @@
 
 #include "proto/bml.hpp"
 #include "proto/forwarder.hpp"
-#include "proto/sched_policy.hpp"
+#include "proto/sim_task_queue.hpp"
 
 namespace iofwd::proto {
 
@@ -64,6 +64,7 @@ class QueueForwarder final : public Forwarder {
   SimTaskQueue<QTask> queue_;
   std::uint64_t outstanding_ = 0;
   int live_workers_ = 0;  // worker_loop frames that have not returned
+  std::uint64_t bml_blocked_counted_ = 0;  // bml_.blocked_acquires() in fwd.bml_blocked
   std::vector<std::shared_ptr<sim::SimEvent>> completion_ticks_;
 };
 

@@ -1,7 +1,5 @@
 #include "proto/types.hpp"
 
-#include "proto/sched_policy.hpp"
-
 namespace iofwd::proto {
 
 std::string to_string(OpType t) {
@@ -20,15 +18,6 @@ std::string to_string(SinkTarget::Kind k) {
     case SinkTarget::Kind::dev_null: return "dev_null";
     case SinkTarget::Kind::da_memory: return "da_memory";
     case SinkTarget::Kind::storage: return "storage";
-  }
-  return "?";
-}
-
-std::string to_string(QueuePolicy p) {
-  switch (p) {
-    case QueuePolicy::fifo: return "fifo";
-    case QueuePolicy::sjf: return "sjf";
-    case QueuePolicy::priority: return "priority";
   }
   return "?";
 }

@@ -26,8 +26,9 @@ struct SinkTarget {
   Kind kind = Kind::dev_null;
   int da_id = 0;             // for da_memory
   std::uint64_t block = 0;   // for storage: file block index (striping key)
-  // Data-stream priority, honored by QueuePolicy::priority (paper Sec. IV:
-  // "maintain separate queues based on the priority of data").
+  // Data-stream priority, honored by the prio policy as its class, clamped
+  // to 0..rt::kMaxPriorityClass (paper Sec. IV: "maintain separate queues
+  // based on the priority of data").
   int priority = 0;
 };
 
@@ -50,22 +51,6 @@ struct RunMetrics {
     const double secs = sim::to_seconds(end - start);
     if (secs <= 0) return 0;
     return static_cast<double>(bytes_delivered) / (1024.0 * 1024.0) / secs;
-  }
-};
-
-// Execution-side statistics for ablation benches and tests.
-struct ForwarderStats {
-  std::uint64_t ops_enqueued = 0;
-  std::uint64_t max_queue_depth = 0;
-  std::uint64_t worker_batches = 0;
-  std::uint64_t worker_tasks = 0;
-  std::uint64_t bml_blocked = 0;     // staging waits due to exhausted pool
-  std::uint64_t memory_blocked = 0;  // sync path waits for ION memory
-
-  [[nodiscard]] double avg_batch() const {
-    return worker_batches > 0
-               ? static_cast<double>(worker_tasks) / static_cast<double>(worker_batches)
-               : 0.0;
   }
 };
 

@@ -7,7 +7,7 @@
 // Scheduler and every push carries a SchedMeta describing the op (tenant,
 // priority class, deadline, bytes), so the queue's dispatch order is policy.
 //
-// Four policies ship:
+// Five policies ship:
 //   fifo  — arrival order (the paper's behavior; the default).
 //   prio  — strict priority classes from the frame header (kMaxPriorityClass
 //           highest), FIFO within a class.
@@ -16,6 +16,12 @@
 //   fair  — deficit round-robin on bytes across tenants: each active tenant
 //           in turn spends a byte quantum, so a tenant's share of served
 //           bytes tracks 1/N(active) regardless of its arrival rate.
+//   sjf   — shortest job first on payload bytes, FIFO among equal sizes:
+//           small (latency-sensitive) ops overtake bulk data — the paper's
+//           "take the data sizes into account" (Sec. IV).
+//
+// The simulator's work queue (proto::SimTaskQueue) orders its tasks with
+// the same classes, so simulated and real schedules run one policy code.
 //
 // Schedulers are deliberately NOT thread-safe: TaskQueue drives one under
 // its own mutex. That keeps policies trivially testable against reference
@@ -45,6 +51,7 @@ enum class SchedPolicy : std::uint8_t {
   prio = 1,
   edf = 2,
   fair = 3,
+  sjf = 4,
 };
 
 [[nodiscard]] inline const char* to_string(SchedPolicy p) {
@@ -53,17 +60,19 @@ enum class SchedPolicy : std::uint8_t {
     case SchedPolicy::prio: return "prio";
     case SchedPolicy::edf: return "edf";
     case SchedPolicy::fair: return "fair";
+    case SchedPolicy::sjf: return "sjf";
   }
   return "?";
 }
 
-// Parses a policy name; accepts "priority" as an alias for "prio" (the name
-// proto/sched_policy.hpp historically used for the simulator's policy knob).
+// Parses a policy name; accepts "priority" as an alias for "prio" (the
+// historical spelling of the simulator's `forwarder.policy` value).
 [[nodiscard]] inline std::optional<SchedPolicy> parse_sched_policy(const std::string& s) {
   if (s == "fifo") return SchedPolicy::fifo;
   if (s == "prio" || s == "priority") return SchedPolicy::prio;
   if (s == "edf") return SchedPolicy::edf;
   if (s == "fair") return SchedPolicy::fair;
+  if (s == "sjf") return SchedPolicy::sjf;
   return std::nullopt;
 }
 
@@ -145,17 +154,30 @@ class PriorityScheduler final : public Scheduler<T> {
   std::size_t size_ = 0;
 };
 
-// Earliest deadline first on the absolute deadline (arrival + deadline_ms).
-// Ops without a deadline sort after every op with one; equal deadlines tie-
-// break on push order, so a deadline-free stream degenerates to FIFO. A
-// binary min-heap (std::push_heap over a vector) rather than a
+// The edf sort key: microseconds-since-epoch of the absolute deadline
+// (arrival + deadline_ms), or "never" when the op carries none. Exposed so
+// the reference model in the conformance test computes keys identically.
+[[nodiscard]] inline std::uint64_t deadline_key(const SchedMeta& meta) {
+  if (meta.deadline_ms == 0) return UINT64_MAX;
+  const auto abs = meta.arrival + std::chrono::milliseconds(meta.deadline_ms);
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(abs.time_since_epoch()).count());
+}
+
+// Smallest key first, ties broken on push order. Serves two policies:
+//   edf — key = deadline_key(): ops without a deadline sort after every op
+//         with one, so a deadline-free stream degenerates to FIFO;
+//   sjf — key = payload bytes.
+// A binary min-heap (std::push_heap over a vector) rather than a
 // priority_queue, because tasks are move-only.
 template <typename T>
-class EdfScheduler final : public Scheduler<T> {
+class MinKeyScheduler final : public Scheduler<T> {
  public:
+  explicit MinKeyScheduler(SchedPolicy policy) : policy_(policy) {}
+
   void push(const SchedMeta& meta, T item) override {
     Entry e;
-    e.deadline_us = deadline_key(meta);
+    e.key = policy_ == SchedPolicy::sjf ? meta.bytes : deadline_key(meta);
     e.seq = next_seq_++;
     e.item = std::move(item);
     heap_.push_back(std::move(e));
@@ -168,32 +190,23 @@ class EdfScheduler final : public Scheduler<T> {
     return v;
   }
   [[nodiscard]] std::size_t size() const override { return heap_.size(); }
-  [[nodiscard]] SchedPolicy policy() const override { return SchedPolicy::edf; }
-
-  // The sort key: microseconds-since-epoch of the absolute deadline, or
-  // "never" when the op carries none. Exposed so the reference model in the
-  // conformance test computes keys identically.
-  [[nodiscard]] static std::uint64_t deadline_key(const SchedMeta& meta) {
-    if (meta.deadline_ms == 0) return UINT64_MAX;
-    const auto abs = meta.arrival + std::chrono::milliseconds(meta.deadline_ms);
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(abs.time_since_epoch()).count());
-  }
+  [[nodiscard]] SchedPolicy policy() const override { return policy_; }
 
  private:
   struct Entry {
-    std::uint64_t deadline_us = 0;
+    std::uint64_t key = 0;
     std::uint64_t seq = 0;
     T item;
   };
-  // std::push_heap builds a max-heap; "later deadline sorts as greater"
-  // therefore keeps the EARLIEST deadline at the top.
+  // std::push_heap builds a max-heap; "larger key sorts as greater"
+  // therefore keeps the SMALLEST key at the top.
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
-      if (a.deadline_us != b.deadline_us) return a.deadline_us > b.deadline_us;
+      if (a.key != b.key) return a.key > b.key;
       return a.seq > b.seq;
     }
   };
+  SchedPolicy policy_;
   std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
 };
@@ -203,7 +216,9 @@ class EdfScheduler final : public Scheduler<T> {
 // tenant is credited `quantum` bytes of deficit. It serves ops while the
 // deficit covers the head op's bytes, then rotates. A tenant that empties
 // forfeits its remaining deficit (work-conserving: an idle tenant cannot
-// bank credit and later burst past its share).
+// bank credit and later burst past its share) and its state is erased, so
+// per-tenant memory is bounded by the tenants with a backlog — not by every
+// tenant id a client ever sent.
 template <typename T>
 class DrrScheduler final : public Scheduler<T> {
  public:
@@ -211,20 +226,16 @@ class DrrScheduler final : public Scheduler<T> {
       : quantum_(std::max<std::uint64_t>(1, quantum_bytes)) {}
 
   void push(const SchedMeta& meta, T item) override {
-    Tenant& t = tenants_[meta.tenant];
-    t.q.emplace_back(std::max<std::uint64_t>(1, meta.bytes), std::move(item));
+    auto [it, fresh] = tenants_.try_emplace(meta.tenant);
+    if (fresh) active_.push_back(meta.tenant);
+    it->second.q.emplace_back(std::max<std::uint64_t>(1, meta.bytes), std::move(item));
     ++size_;
-    if (!t.in_active) {
-      t.in_active = true;
-      t.credited = false;
-      active_.push_back(meta.tenant);
-    }
   }
 
   T pop() override {
     for (;;) {
       const std::uint64_t id = active_.front();
-      Tenant& t = tenants_[id];
+      Tenant& t = tenants_.find(id)->second;
       if (!t.credited) {
         t.credited = true;
         t.deficit += quantum_;
@@ -237,9 +248,7 @@ class DrrScheduler final : public Scheduler<T> {
         --size_;
         if (t.q.empty()) {
           // Forfeit leftover credit and leave the rotation.
-          t.deficit = 0;
-          t.in_active = false;
-          t.credited = false;
+          tenants_.erase(id);
           active_.pop_front();
         }
         return v;
@@ -255,13 +264,14 @@ class DrrScheduler final : public Scheduler<T> {
   [[nodiscard]] std::size_t size() const override { return size_; }
   [[nodiscard]] SchedPolicy policy() const override { return SchedPolicy::fair; }
   [[nodiscard]] std::uint64_t quantum_bytes() const { return quantum_; }
+  // Tenants with a backlog (the only ones holding state).
+  [[nodiscard]] std::size_t tenants() const { return tenants_.size(); }
 
  private:
   struct Tenant {
     std::deque<std::pair<std::uint64_t, T>> q;  // (bytes, item)
     std::uint64_t deficit = 0;
-    bool credited = false;   // got its quantum for the current visit
-    bool in_active = false;
+    bool credited = false;  // got its quantum for the current visit
   };
   std::unordered_map<std::uint64_t, Tenant> tenants_;
   std::deque<std::uint64_t> active_;
@@ -275,7 +285,8 @@ template <typename T>
   switch (policy) {
     case SchedPolicy::fifo: return std::make_unique<FifoScheduler<T>>();
     case SchedPolicy::prio: return std::make_unique<PriorityScheduler<T>>();
-    case SchedPolicy::edf: return std::make_unique<EdfScheduler<T>>();
+    case SchedPolicy::edf:
+    case SchedPolicy::sjf: return std::make_unique<MinKeyScheduler<T>>(policy);
     case SchedPolicy::fair: return std::make_unique<DrrScheduler<T>>(drr_quantum_bytes);
   }
   return std::make_unique<FifoScheduler<T>>();

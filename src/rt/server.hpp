@@ -58,7 +58,6 @@
 
 namespace iofwd::bb {
 class BurstBufferBackend;
-struct BurstBufferStats;
 }  // namespace iofwd::bb
 
 namespace iofwd::cluster {
@@ -74,8 +73,6 @@ enum class ExecModel { thread_per_client, work_queue, work_queue_async };
 struct ServerConfig {
   ExecModel exec = ExecModel::work_queue_async;
   int workers = 4;           // paper's sweet spot on a 4-core ION (Fig. 11)
-  int multiplex_depth = 8;   // tasks per event-loop pass
-  bool balanced_batches = true;
   // Receiver lanes (DESIGN.md §13): a fixed pool of epoll event-loop threads
   // that multiplex every pollable connection, replacing thread-per-connection
   // receive. New connections go to the lane with the fewest — the paper's
@@ -89,8 +86,6 @@ struct ServerConfig {
   // memory against slow readers the same way the BML pool bounds receives.
   std::uint64_t send_queue_bytes = 4ull << 20;
   std::uint64_t bml_bytes = 256ull << 20;
-  std::uint64_t bml_min_class = 4096;
-  SizeClassPolicy bml_policy = SizeClassPolicy::pow2;
   // Burst-buffer staging cache (src/bb/): when bb_bytes > 0 the backend is
   // wrapped in a write-back extent cache with its own flusher pool, which
   // absorbs non-sequential checkpoint bursts and drains in the background.
@@ -108,7 +103,6 @@ struct ServerConfig {
   // its ack and replayed into the cache on startup, making a shard crash
   // recoverable with zero acked-data loss. Empty = no journal.
   std::string bb_journal_dir;
-  std::uint64_t bb_journal_segment_bytes = 8ull << 20;
   bool bb_journal_fsync = false;  // fdatasync per append (host-crash durability)
   // Graceful degradation (DESIGN.md §10). A writer that cannot lease BML
   // staging space within bml_wait_ms falls back to synchronous pass-through
@@ -139,8 +133,8 @@ struct ServerConfig {
   // chaos without rt depending on the fault library (which depends on rt).
   std::function<bool(std::uint64_t, std::uint64_t)> qos_fault_hook;
   // Observability (src/obs/, DESIGN.md §11). Every server counter lives in
-  // an obs::MetricRegistry under the "server." prefix; ServerStats is just a
-  // snapshot view of it. A null registry means the server creates a private
+  // an obs::MetricRegistry under the "server." prefix, read through
+  // IonServer::metrics(). A null registry means the server creates a private
   // one; pass a shared registry to aggregate several subsystems (retry, bb,
   // client) into a single namespace for analysis::metrics_table.
   obs::MetricRegistry* registry = nullptr;
@@ -154,55 +148,6 @@ struct ServerConfig {
   // (DESIGN.md §12). kProtoVersion enables per-payload CRC32C with v1
   // clients; 0 emulates a legacy server (checksums stay off).
   std::uint16_t max_wire_version = kProtoVersion;
-};
-
-// Snapshot view over the server's metric registry, assembled by stats().
-// Kept as a plain struct (deprecated as an API surface, retained so existing
-// tests and benches read fields unchanged); new code should prefer
-// IonServer::metrics() and the registry names in DESIGN.md §11.
-struct ServerStats {
-  std::uint64_t ops = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t deferred_errors = 0;
-  std::uint64_t queue_batches = 0;
-  std::uint64_t queue_max_depth = 0;
-  std::uint64_t bml_blocked = 0;
-  std::uint64_t bml_high_watermark = 0;
-  // Data-filtering offload: payload bytes before/after the filter chain.
-  std::uint64_t filter_bytes_in = 0;
-  std::uint64_t filter_bytes_out = 0;
-  // Burst-buffer cache (populated when ServerConfig::bb_bytes > 0).
-  std::uint64_t bb_cached_bytes = 0;
-  std::uint64_t bb_flushed_bytes = 0;
-  std::uint64_t bb_backend_writes = 0;
-  std::uint64_t bb_stall_ns = 0;
-  double bb_hit_rate = 0.0;
-  double bb_coalesce_ratio = 0.0;
-  // Resilience counters (DESIGN.md §10).
-  std::uint64_t deadline_expired = 0;        // ops bounced with timed_out
-  std::uint64_t bml_timeouts = 0;            // bounded BML waits that expired
-  std::uint64_t degraded_passthrough_ops = 0;  // writes executed BML-less, inline
-  std::uint64_t degraded_sync_writes = 0;    // staged writes forced synchronous
-  std::uint64_t degraded_enters = 0;         // async->sync staging transitions
-  std::uint64_t degraded_ns = 0;             // time spent in sync-staging mode
-  std::uint64_t bml_in_use = 0;              // leased BML bytes right now
-  std::uint64_t bb_degraded_writes = 0;      // cache writes that fell through
-  // Integrity counters (DESIGN.md §12).
-  std::uint64_t hellos = 0;                  // version negotiations completed
-  std::uint64_t header_crc_errors = 0;       // corrupted headers (client dropped)
-  std::uint64_t payload_crc_errors = 0;      // corrupted payloads (op bounced)
-  std::uint64_t frames_rejected = 0;         // protocol violations (client dropped)
-  // Async send path (DESIGN.md §15).
-  std::uint64_t replies_enqueued = 0;        // replies accepted into send queues
-  std::uint64_t replies_sent = 0;            // replies fully written to the wire
-  std::uint64_t reply_queue_full = 0;        // conns dropped at send_queue_bytes
-  std::uint64_t reply_peer_gone = 0;         // replies dropped: peer went away
-  std::uint64_t reply_sync_fallback = 0;     // replies via the blocking path
-  std::uint64_t reply_payload_copy_bytes = 0;  // reply payload bytes memcpy'd
-  // Scheduling/QoS (DESIGN.md §17).
-  std::uint64_t qos_throttled_ops = 0;       // ops demoted by a token bucket
-  std::uint64_t qos_admitted_bytes = 0;      // bytes admitted on the fast path
 };
 
 class IonServer {
@@ -256,16 +201,15 @@ class IonServer {
   // assumption); concurrent traffic just keeps drain() polling longer.
   void drain();
 
-  // Deprecated-style snapshot view (kept for tests/benches); assembled from
-  // the metric registry plus queue/pool/burst-buffer instantaneous state.
-  [[nodiscard]] ServerStats stats() const;
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
 
-  // The registry backing stats() — server-owned unless ServerConfig::registry
+  // The registry behind metrics() — server-owned unless ServerConfig::registry
   // was set. Shared handles stay valid for the server's lifetime.
   [[nodiscard]] obs::MetricRegistry& registry() const { return *reg_; }
-  // Unified point-in-time view of every metric (refreshes queue/pool gauges
-  // first so the snapshot is self-contained).
+  // Unified point-in-time view of every metric, by the names in DESIGN.md
+  // §11. Refreshes the queue/pool/burst-buffer gauges and accrues an open
+  // degraded interval into server.degraded_ns first, so the snapshot is
+  // self-contained.
   [[nodiscard]] obs::Snapshot metrics() const;
   // Completed-op ring, or nullptr when flight_recorder_ops == 0.
   [[nodiscard]] const obs::FlightRecorder* flight_recorder() const { return fr_.get(); }
@@ -454,9 +398,8 @@ class IonServer {
   TaskQueue<Task> queue_;
   std::unique_ptr<QosGovernor> qos_;  // null when QoS is off
 
-  // Observability: registry-backed counters replace the old mutex-guarded
-  // ServerStats member. Handles are registered once here; the hot path only
-  // does relaxed atomic adds.
+  // Observability: registry-backed counters. Handles are registered once
+  // here; the hot path only does relaxed atomic adds.
   std::unique_ptr<obs::MetricRegistry> owned_registry_;
   obs::MetricRegistry* reg_;              // never null
   obs::RuntimeTracer* tracer_;            // null = tracing off
@@ -489,6 +432,7 @@ class IonServer {
   // Instantaneous queue/pool state, refreshed by metrics().
   obs::Gauge& g_queue_depth_;
   obs::Gauge& g_queue_max_depth_;
+  obs::Gauge& g_queue_batches_;
   obs::Gauge& g_bml_in_use_;
   obs::Gauge& g_bml_blocked_;
   obs::Gauge& g_bml_high_watermark_;
@@ -512,9 +456,11 @@ class IonServer {
   std::uint64_t next_conn_key_ = 1;  // threads_mu_ held
 
   // Sync-staging degradation state (hysteresis), guarded by degraded_mu_.
+  // degraded_since_ marks the start of the time not yet in
+  // server.degraded_ns: the mode switch, or the last metrics() call.
   mutable std::mutex degraded_mu_;
   bool degraded_mode_ = false;
-  std::chrono::steady_clock::time_point degraded_since_{};
+  mutable std::chrono::steady_clock::time_point degraded_since_{};
 };
 
 }  // namespace iofwd::rt

@@ -67,16 +67,13 @@ class TaskQueue {
       batch.push_back(sched_->pop());
     }
     ++batches_;
-    popped_ += batch.size();
     return batch;
   }
 
   std::optional<T> try_pop() {
     std::scoped_lock lock(mu_);
     if (sched_->size() == 0) return std::nullopt;
-    T t = sched_->pop();
-    ++popped_;
-    return t;
+    return sched_->pop();
   }
 
   // Close: pending tasks are still handed out; pop_batch returns empty once
@@ -120,7 +117,6 @@ class TaskQueue {
   std::size_t max_depth_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t pushed_ = 0;
-  std::uint64_t popped_ = 0;
 };
 
 }  // namespace iofwd::rt

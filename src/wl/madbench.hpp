@@ -51,7 +51,6 @@ struct MadbenchResult {
   std::uint64_t bytes = 0;
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
-  proto::ForwarderStats stats;
 };
 
 MadbenchResult run_madbench(proto::Mechanism m, bgp::MachineConfig machine_cfg,

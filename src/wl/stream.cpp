@@ -48,10 +48,14 @@ StreamResult run_stream(proto::Mechanism m, const bgp::MachineConfig& machine_cf
   bgp::Machine machine(eng, machine_cfg);
 
   proto::RunMetrics metrics;
+  // Every pset's forwarder counts into one "fwd.*" namespace.
+  obs::MetricRegistry run_registry;
+  obs::MetricRegistry& reg = fwd_cfg.registry != nullptr ? *fwd_cfg.registry : run_registry;
   std::vector<std::unique_ptr<proto::Forwarder>> fwds;
   fwds.reserve(static_cast<std::size_t>(machine.num_psets()));
   for (int p = 0; p < machine.num_psets(); ++p) {
     auto fc = fwd_cfg;
+    fc.registry = &reg;
     if (!params.trace_path.empty() && p == 0) fc.trace_ops = true;
     fwds.push_back(proto::make_forwarder(m, machine, machine.pset(p), metrics, fc));
   }
@@ -67,15 +71,7 @@ StreamResult run_stream(proto::Mechanism m, const bgp::MachineConfig& machine_cf
   r.metrics = metrics;
   r.elapsed = metrics.last_delivery;
   r.throughput_mib_s = metrics.throughput_mib_s(0, metrics.last_delivery);
-  for (auto& f : fwds) {
-    const auto& s = f->stats();
-    r.stats.ops_enqueued += s.ops_enqueued;
-    r.stats.max_queue_depth = std::max(r.stats.max_queue_depth, s.max_queue_depth);
-    r.stats.worker_batches += s.worker_batches;
-    r.stats.worker_tasks += s.worker_tasks;
-    r.stats.bml_blocked += s.bml_blocked;
-    r.stats.memory_blocked += s.memory_blocked;
-  }
+  r.bml_blocked = reg.counter("fwd.bml_blocked").value();
   r.sim_events = eng.events_processed();
   return r;
 }

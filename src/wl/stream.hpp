@@ -31,7 +31,7 @@ struct StreamParams {
 struct StreamResult {
   double throughput_mib_s = 0;   // aggregate delivered over the full run
   proto::RunMetrics metrics;
-  proto::ForwarderStats stats;   // merged across psets
+  std::uint64_t bml_blocked = 0;  // staging waits on an exhausted BML, all psets
   std::uint64_t sim_events = 0;
   sim::SimTime elapsed = 0;
 };

@@ -201,8 +201,9 @@ TEST_P(ClusterSoak, CrossShardReadYourWritesWithPerShardAccounting) {
         const auto cs = tc.routing_client(static_cast<std::size_t>(c)).shard_client(s).stats();
         detected += cs.header_crc_errors + cs.payload_crc_errors;
       }
-      const auto ss = tc.server(s).stats();
-      detected += ss.header_crc_errors + ss.payload_crc_errors;
+      const auto ss = tc.server(s).metrics();
+      detected += ss.counter("server.integrity.header_crc_errors") +
+          ss.counter("server.integrity.payload_crc_errors");
       EXPECT_EQ(detected, injected) << "shard " << s << " ledger out of balance";
       total_injected += injected;
     }
@@ -212,9 +213,9 @@ TEST_P(ClusterSoak, CrossShardReadYourWritesWithPerShardAccounting) {
   // Fleet-wide clean drain, then golden-model integrity per (client, shard).
   tc.stop();
   for (int s = 0; s < n_shards; ++s) {
-    const auto st = tc.server(s).stats();
-    EXPECT_EQ(st.bml_in_use, 0u) << "shard " << s << " leaked a BML lease";
-    EXPECT_EQ(st.bb_cached_bytes, 0u) << "shard " << s << " leaked staged bytes";
+    const auto st = tc.server(s).metrics();
+    EXPECT_EQ(st.gauge("server.bml_in_use"), 0) << "shard " << s << " leaked a BML lease";
+    EXPECT_EQ(st.gauge("bb.cached_bytes"), 0) << "shard " << s << " leaked staged bytes";
   }
   for (int c = 0; c < kClients; ++c) {
     for (int s = 0; s < n_shards; ++s) {

@@ -156,7 +156,7 @@ TEST(Cluster, DrainShardLeavesSiblingsServing) {
   tc.ion_cluster()->drain_shard(0);
   EXPECT_EQ(tc.mem(0).snapshot("drain0").size(), data.size())
       << "drained shard still holds dirty bytes";
-  EXPECT_GE(tc.server(0).stats().bb_flushed_bytes, data.size());
+  EXPECT_GE(tc.server(0).metrics().counter("bb.flushed_bytes"), data.size());
 
   for (int s = 0; s < 2; ++s) {
     const int fd = fds[static_cast<std::size_t>(s)];

@@ -134,9 +134,9 @@ TEST(Chaos, SeededFaultStormLeavesServerHealthy) {
   // Quiesce, then check the ledgers: no leaked BML leases, no leaked cache
   // leases, and the healthy files fully landed in the terminal backend.
   tc.stop();
-  const auto st = tc.server().stats();
-  EXPECT_EQ(st.bml_in_use, 0u) << "BML pool leaked a lease";
-  EXPECT_EQ(st.bb_cached_bytes, 0u) << "burst-buffer cache leaked a lease";
+  const auto st = tc.server().metrics();
+  EXPECT_EQ(st.gauge("server.bml_in_use"), 0) << "BML pool leaked a lease";
+  EXPECT_EQ(st.gauge("bb.cached_bytes"), 0) << "burst-buffer cache leaked a lease";
 
   for (int id = 0; id < kHealthy; ++id) {
     const auto all = tc.snapshot("healthy" + std::to_string(id));

@@ -49,7 +49,7 @@ TEST(Deadline, ServerBouncesExpiredOpWithoutExecuting) {
 
   Status st = client.fsync(1);
   EXPECT_EQ(st.code(), Errc::timed_out) << st.to_string();
-  EXPECT_GE(server.stats().deadline_expired, 1u);
+  EXPECT_GE(server.metrics().counter("server.deadline_expired"), 1u);
 }
 
 TEST(Deadline, UnexpiredOpsAreUnaffected) {
@@ -70,7 +70,7 @@ TEST(Deadline, UnexpiredOpsAreUnaffected) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(r.value(), data);
   EXPECT_TRUE(client.close(1).is_ok());
-  EXPECT_EQ(server.stats().deadline_expired, 0u);
+  EXPECT_EQ(server.metrics().counter("server.deadline_expired"), 0u);
 }
 
 TEST(Deadline, ClientWatchdogKillsHungRoundtrip) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <thread>
 
 #include "bb/burst_buffer.hpp"
 #include "core/units.hpp"
@@ -41,9 +42,9 @@ TEST(Degradation, BmlExhaustionFallsBackToPassThrough) {
   ASSERT_TRUE(client.write(1, a.size(), b).is_ok()) << "degraded write must still succeed";
 
   ASSERT_TRUE(client.fsync(1).is_ok());
-  const auto st = tc.server().stats();
-  EXPECT_GE(st.bml_timeouts, 1u);
-  EXPECT_GE(st.degraded_passthrough_ops, 1u);
+  const auto st = tc.server().metrics();
+  EXPECT_GE(st.counter("server.bml_timeouts"), 1u);
+  EXPECT_GE(st.counter("server.degraded_passthrough_ops"), 1u);
 
   // Data integrity across both paths.
   const auto all = tc.snapshot("f");
@@ -96,7 +97,7 @@ TEST(Degradation, BurstBufferStallBoundWritesThrough) {
   ASSERT_TRUE(bbuf.write(1, 0, a).is_ok());  // fits the cache
   // No lease available: stalls, gives up after max_stall_ms, writes through.
   ASSERT_TRUE(bbuf.write(1, off_b, b).is_ok());
-  EXPECT_GE(bbuf.stats().degraded_writes, 1u);
+  EXPECT_GE(bbuf.metrics().counter("bb.degraded_writes"), 1u);
 
   ASSERT_TRUE(bbuf.fsync(1).is_ok());
   const auto all = mem->snapshot("f");
@@ -137,10 +138,47 @@ TEST(Degradation, QueueDepthWatermarkForcesSyncStaging) {
   for (auto& f : futures) EXPECT_TRUE(f.get().is_ok());
   ASSERT_TRUE(client.fsync(1).get().is_ok());
 
-  const auto st = tc.server().stats();
-  EXPECT_GE(st.degraded_enters, 1u) << "queue depth never crossed the watermark";
-  EXPECT_GE(st.degraded_sync_writes, 1u);
-  EXPECT_GT(st.degraded_ns, 0u);
+  const auto st = tc.server().metrics();
+  EXPECT_GE(st.counter("server.degraded_enters"), 1u) << "queue depth never crossed the watermark";
+  EXPECT_GE(st.counter("server.degraded_sync_writes"), 1u);
+  EXPECT_GT(st.counter("server.degraded_ns"), 0u);
+  EXPECT_TRUE(client.close_fd(1).get().is_ok());
+}
+
+TEST(Degradation, IdleDegradedServerReportsTheOpenInterval) {
+  // The hysteresis re-evaluates only on a write, so a server that degraded
+  // during a burst and then went idle stays degraded. metrics() must count
+  // that open interval, and keep counting it while the server idles.
+  ClusterOptions o;
+  o.server.exec = rt::ExecModel::work_queue_async;
+  o.server.workers = 1;
+  o.server.degraded_high_watermark = 2;
+  o.server.degraded_low_watermark = 0;  // no write of the burst sees an empty queue
+  o.clients = 0;
+  TestCluster tc(o);
+  tc.backend_plan().add({.op = OpKind::write,
+                         .probability = 1.0,
+                         .transient = false,
+                         .error = Errc::ok,
+                         .latency = 30'000us});
+
+  auto stream = tc.factory()();
+  ASSERT_TRUE(stream.is_ok());
+  rt::AsyncClient client(std::move(stream).value(), /*window=*/8);
+  ASSERT_TRUE(client.open(1, "q").get().is_ok());
+  const auto data = pattern(4_KiB, 7);
+  std::vector<std::future<Status>> futures;
+  for (int i = 0; i < 6; ++i) {
+    futures.push_back(client.write(1, static_cast<std::uint64_t>(i) * data.size(), data));
+  }
+  for (auto& f : futures) EXPECT_TRUE(f.get().is_ok());
+  ASSERT_TRUE(client.fsync(1).get().is_ok());  // queue drained, no write since
+
+  ASSERT_GE(tc.server().metrics().counter("server.degraded_enters"), 1u);
+  const std::uint64_t first = tc.server().metrics().counter("server.degraded_ns");
+  EXPECT_GT(first, 0u) << "the open degraded interval is missing";
+  std::this_thread::sleep_for(2ms);
+  EXPECT_GT(tc.server().metrics().counter("server.degraded_ns"), first);
   EXPECT_TRUE(client.close_fd(1).get().is_ok());
 }
 

@@ -84,14 +84,15 @@ TEST(IntegrityChaos, OnePercentBitFlipsAllDetectedAllRecovered) {
 
   // --- 1. every corruption detected -------------------------------------
   const auto cs = client.stats();
-  const auto ss = tc.server().stats();
+  const auto ss = tc.server().metrics();
   const std::uint64_t injected = plan->fired();
   const std::uint64_t detected = cs.header_crc_errors + cs.payload_crc_errors +
-                                 ss.header_crc_errors + ss.payload_crc_errors;
+                                 ss.counter("server.integrity.header_crc_errors") +
+                                 ss.counter("server.integrity.payload_crc_errors");
   EXPECT_GT(injected, 10u) << "storm too quiet to prove anything";
   EXPECT_EQ(detected, injected) << "an injected corruption went undetected";
   // A request-payload bounce is the server detecting + the client replaying.
-  EXPECT_EQ(cs.request_bounces, ss.payload_crc_errors);
+  EXPECT_EQ(cs.request_bounces, ss.counter("server.integrity.payload_crc_errors"));
 
   // --- 2. every op succeeded via replay ----------------------------------
   EXPECT_EQ(cs.giveups, 0u);
@@ -136,8 +137,8 @@ TEST(IntegrityChaos, V0PeersStayBlindToCorruption) {
   ASSERT_TRUE(client.close(1).is_ok());
 
   ASSERT_EQ(plan->fired(), 1u);
-  EXPECT_EQ(tc.server().stats().payload_crc_errors, 0u);
-  EXPECT_EQ(tc.server().stats().header_crc_errors, 0u);
+  EXPECT_EQ(tc.server().metrics().counter("server.integrity.payload_crc_errors"), 0u);
+  EXPECT_EQ(tc.server().metrics().counter("server.integrity.header_crc_errors"), 0u);
   const auto all = tc.snapshot("blind");
   ASSERT_EQ(all.size(), 3 * data.size());
   std::size_t mismatched = 0;

@@ -138,11 +138,12 @@ TEST(SimFuzz, DifferentSeedsDiffer) {
 }
 
 TEST(SimFuzz, PoliciesPreserveConservation) {
-  for (auto pol : {proto::QueuePolicy::sjf, proto::QueuePolicy::priority}) {
+  for (auto pol : {rt::SchedPolicy::sjf, rt::SchedPolicy::prio, rt::SchedPolicy::edf,
+                   rt::SchedPolicy::fair}) {
     proto::ForwarderConfig fc;
     fc.policy = pol;
     const auto r = run_sim_fuzz(proto::Mechanism::zoid_sched_async, 99, 10, 12, fc);
-    EXPECT_EQ(r.delivered_bytes, r.issued_bytes) << proto::to_string(pol);
+    EXPECT_EQ(r.delivered_bytes, r.issued_bytes) << rt::to_string(pol);
   }
 }
 

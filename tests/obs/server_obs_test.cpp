@@ -1,8 +1,8 @@
 // End-to-end observability: an IonServer wired to an external registry,
 // tracer, and flight recorder, driven through a real Client. Pins the API
-// redesign contract — ServerStats is a snapshot view of the registry, the
-// same registry serves the burst buffer ("bb.*"), and analysis can render
-// the whole thing.
+// contract — metrics() is the registry's snapshot with the queue and pool
+// state mirrored into gauges, the same registry serves the burst buffer
+// ("bb.*"), and analysis can render the whole thing.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -58,16 +58,20 @@ TEST(ServerObs, SharedRegistryRecordsServerNamespace) {
   EXPECT_EQ(tc.registry().counter("server.ops").value(), 5u);
 }
 
-TEST(ServerObs, StatsStructIsASnapshotOfTheRegistry) {
+TEST(ServerObs, MetricsIsTheRegistryPlusMirroredQueueAndPoolGauges) {
   TestCluster tc = obs_cluster();
   run_ops(tc.client());
-  const ServerStats s = tc.server().stats();
   const obs::Snapshot snap = tc.server().metrics();
-  EXPECT_EQ(s.ops, snap.counter("server.ops"));
-  EXPECT_EQ(s.bytes_in, snap.counter("server.bytes_in"));
-  EXPECT_EQ(s.bytes_out, snap.counter("server.bytes_out"));
-  EXPECT_EQ(s.deferred_errors, snap.counter("server.deferred_errors"));
-  EXPECT_EQ(s.deadline_expired, snap.counter("server.deadline_expired"));
+  const obs::Snapshot raw = tc.registry().snapshot();
+  EXPECT_EQ(snap.counter("server.ops"), raw.counter("server.ops"));
+  EXPECT_EQ(snap.counter("server.bytes_in"), raw.counter("server.bytes_in"));
+  EXPECT_EQ(snap.counter("server.bytes_out"), raw.counter("server.bytes_out"));
+  EXPECT_EQ(snap.counter("server.deferred_errors"), raw.counter("server.deferred_errors"));
+  EXPECT_EQ(snap.counter("server.deadline_expired"), raw.counter("server.deadline_expired"));
+  // State that lives in the queue and the BML pool, not in the registry.
+  EXPECT_GE(snap.gauge("server.queue_batches"), 1) << "the staged write ran as a batch";
+  EXPECT_GE(snap.gauge("server.queue_max_depth"), 1);
+  EXPECT_GE(snap.gauge("server.bml_high_watermark"), 64 * 1024) << "the write's lease";
 }
 
 TEST(ServerObs, BurstBufferSharesTheRegistry) {
@@ -114,7 +118,7 @@ TEST(ServerObs, DefaultConfigOwnsAPrivateRegistry) {
   ASSERT_TRUE(client.open(1, "f").is_ok());
   ASSERT_TRUE(client.close(1).is_ok());
   EXPECT_EQ(server->metrics().counter("server.ops"), 2u);
-  EXPECT_EQ(server->stats().ops, 2u);
+  EXPECT_EQ(server->metrics().counter("server.ops"), 2u);
 }
 
 TEST(ServerObs, MetricsTableRendersEveryKind) {

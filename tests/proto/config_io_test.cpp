@@ -15,7 +15,7 @@ TEST(ConfigIo, EmptyConfigKeepsDefaults) {
   auto f = apply_forwarder_config(c, {});
   ASSERT_TRUE(f.is_ok());
   EXPECT_EQ(f.value().workers, 4);
-  EXPECT_EQ(f.value().policy, QueuePolicy::fifo);
+  EXPECT_EQ(f.value().policy, rt::SchedPolicy::fifo);
 }
 
 TEST(ConfigIo, OverridesMachineKnobs) {
@@ -55,17 +55,22 @@ TEST(ConfigIo, OverridesForwarderKnobs) {
   EXPECT_EQ(f.value().multiplex_depth, 16);
   EXPECT_FALSE(f.value().balanced_batches);
   EXPECT_EQ(f.value().bml_bytes, 1u << 20);
-  EXPECT_EQ(f.value().policy, QueuePolicy::sjf);
+  EXPECT_EQ(f.value().policy, rt::SchedPolicy::sjf);
 }
 
 TEST(ConfigIo, AllPoliciesParse) {
-  for (const char* name : {"fifo", "sjf", "priority"}) {
+  for (const char* name : {"fifo", "prio", "edf", "fair", "sjf"}) {
     Config c;
     c.set("forwarder.policy", name);
     auto f = apply_forwarder_config(c, {});
     ASSERT_TRUE(f.is_ok()) << name;
-    EXPECT_EQ(to_string(f.value().policy), name);
+    EXPECT_STREQ(rt::to_string(f.value().policy), name);
   }
+  Config c;
+  c.set("forwarder.policy", "priority");  // the historical spelling
+  auto f = apply_forwarder_config(c, {});
+  ASSERT_TRUE(f.is_ok());
+  EXPECT_EQ(f.value().policy, rt::SchedPolicy::prio);
 }
 
 TEST(ConfigIo, RejectsBadPolicyAndWorkers) {

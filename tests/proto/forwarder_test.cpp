@@ -256,6 +256,34 @@ TEST(AsyncStaging, BmlExhaustionBlocksStaging) {
   EXPECT_EQ(qf->bml().in_use(), 0u);
 }
 
+TEST(AsyncStaging, SharedRegistrySumsBmlBlocksAcrossForwarders) {
+  // Forwarders sharing ForwarderConfig::registry count into one
+  // fwd.bml_blocked: every pool's blocked acquires, not the last writer's.
+  obs::MetricRegistry reg;  // outlives the forwarders
+  Fixture fx;
+  ForwarderConfig fc;
+  fc.bml_bytes = 512 * 1024;  // two 256 KiB chunks only
+  fc.registry = &reg;
+  std::vector<QueueForwarder*> qfs;
+  for (int i = 0; i < 2; ++i) {
+    auto* qf = dynamic_cast<QueueForwarder*>(fx.make(Mechanism::zoid_sched_async, fc));
+    ASSERT_NE(qf, nullptr);
+    qfs.push_back(qf);
+    fx.eng.spawn([](Forwarder& fw) -> sim::Proc<void> {
+      SinkTarget da;
+      da.kind = SinkTarget::Kind::da_memory;
+      for (int w = 0; w < 4; ++w) (void)co_await fw.write(0, -1, 1_MiB, da);
+      co_await fw.drain();
+    }(*qf));
+  }
+  fx.eng.run();
+  const std::uint64_t a = qfs[0]->bml().blocked_acquires();
+  const std::uint64_t b = qfs[1]->bml().blocked_acquires();
+  EXPECT_GT(a, 0u);
+  EXPECT_GT(b, 0u);
+  EXPECT_EQ(reg.counter("fwd.bml_blocked").value(), a + b);
+}
+
 TEST(SyncMechanisms, IonMemoryBlocksLargeTransfers) {
   // "For large transfers, both CIOD and ZOID block the I/O operation till
   // sufficient memory is present on the I/O Node" (Sec. IV).
@@ -272,7 +300,7 @@ TEST(SyncMechanisms, IonMemoryBlocksLargeTransfers) {
   fx.eng.run();
   for (const auto& s : st) EXPECT_TRUE(s.is_ok());
   EXPECT_EQ(fx.metrics.bytes_delivered, 4_MiB);
-  EXPECT_GT(f->stats().memory_blocked, 0u);
+  EXPECT_GT(f->registry().counter("fwd.memory_blocked").value(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,10 +323,12 @@ TEST(QueueForwarder, WorkersBatchTasks) {
     }(*f, st[i], i));
   }
   fx.eng.run();
-  const auto& s = f->stats();
-  EXPECT_EQ(s.worker_tasks, 64u);  // 16 ops x 4 chunks
-  EXPECT_LT(s.worker_batches, s.worker_tasks) << "multiplexing must batch";
-  EXPECT_GT(s.avg_batch(), 1.0);
+  const auto s = f->registry().snapshot();
+  const std::uint64_t tasks = s.counter("fwd.worker_tasks");
+  const std::uint64_t batches = s.counter("fwd.worker_batches");
+  EXPECT_EQ(tasks, 64u);  // 16 ops x 4 chunks
+  EXPECT_LT(batches, tasks) << "multiplexing must batch";
+  EXPECT_GT(static_cast<double>(tasks) / static_cast<double>(batches), 1.0);  // avg batch
 }
 
 TEST(QueueForwarder, ShutdownStopsWorkers) {

@@ -1,4 +1,8 @@
-#include "proto/sched_policy.hpp"
+// SimTaskQueue: the simulated work queue over the runtime's schedulers.
+// Policy contracts are pinned by tests/rt/sched_model_test.cpp; these cases
+// check that the queue hands a task's metadata to the policy and keeps the
+// channel's blocking, close and try_pop semantics.
+#include "proto/sim_task_queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +12,8 @@
 
 namespace iofwd::proto {
 namespace {
+
+using rt::SchedPolicy;
 
 struct FakeTask {
   int id = 0;
@@ -23,10 +29,18 @@ sim::Proc<void> drain_queue(SimTaskQueue<FakeTask>& q, std::vector<int>& order) 
   }
 }
 
-std::vector<int> run_policy(QueuePolicy policy, const std::vector<FakeTask>& tasks) {
+// The metadata QueueForwarder derives from a task: bytes and priority class.
+void push(SimTaskQueue<FakeTask>& q, const FakeTask& t) {
+  rt::SchedMeta m;
+  m.bytes = t.bytes;
+  m.klass = static_cast<std::uint8_t>(t.sink.priority);
+  q.push(m, t);
+}
+
+std::vector<int> run_policy(SchedPolicy policy, const std::vector<FakeTask>& tasks) {
   sim::Engine eng;
   SimTaskQueue<FakeTask> q(eng, policy);
-  for (const auto& t : tasks) q.push(t);
+  for (const auto& t : tasks) push(q, t);
   std::vector<int> order;
   eng.spawn(drain_queue(q, order));
   q.close();
@@ -43,35 +57,35 @@ FakeTask task(int id, std::uint64_t bytes, int priority = 0) {
 }
 
 TEST(SchedPolicy, FifoPreservesArrivalOrder) {
-  const auto order = run_policy(QueuePolicy::fifo, {task(1, 100), task(2, 1), task(3, 50)});
+  const auto order = run_policy(SchedPolicy::fifo, {task(1, 100), task(2, 1), task(3, 50)});
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(SchedPolicy, SjfPicksSmallestFirst) {
-  const auto order = run_policy(QueuePolicy::sjf, {task(1, 100), task(2, 1), task(3, 50)});
+  const auto order = run_policy(SchedPolicy::sjf, {task(1, 100), task(2, 1), task(3, 50)});
   EXPECT_EQ(order, (std::vector<int>{2, 3, 1}));
 }
 
 TEST(SchedPolicy, SjfTiesBreakByArrival) {
-  const auto order = run_policy(QueuePolicy::sjf, {task(1, 10), task(2, 10), task(3, 10)});
+  const auto order = run_policy(SchedPolicy::sjf, {task(1, 10), task(2, 10), task(3, 10)});
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(SchedPolicy, PriorityBeatsArrivalOrder) {
   const auto order = run_policy(
-      QueuePolicy::priority,
+      SchedPolicy::prio,
       {task(1, 10, /*priority=*/0), task(2, 10, 2), task(3, 10, 1), task(4, 10, 2)});
   EXPECT_EQ(order, (std::vector<int>{2, 4, 3, 1}));  // FIFO within a level
 }
 
 TEST(SchedPolicy, PopBlocksUntilPush) {
   sim::Engine eng;
-  SimTaskQueue<FakeTask> q(eng, QueuePolicy::fifo);
+  SimTaskQueue<FakeTask> q(eng, SchedPolicy::fifo);
   std::vector<int> order;
   eng.spawn(drain_queue(q, order));
   eng.run();
   EXPECT_TRUE(order.empty());
-  q.push(task(9, 1));
+  push(q, task(9, 1));
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{9}));
   q.close();
@@ -80,9 +94,9 @@ TEST(SchedPolicy, PopBlocksUntilPush) {
 
 TEST(SchedPolicy, TryPopRespectsPolicy) {
   sim::Engine eng;
-  SimTaskQueue<FakeTask> q(eng, QueuePolicy::sjf);
-  q.push(task(1, 100));
-  q.push(task(2, 5));
+  SimTaskQueue<FakeTask> q(eng, SchedPolicy::sjf);
+  push(q, task(1, 100));
+  push(q, task(2, 5));
   auto t = q.try_pop();
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->id, 2);
@@ -93,9 +107,9 @@ TEST(SchedPolicy, TryPopRespectsPolicy) {
 
 TEST(SchedPolicy, CloseDrainsQueuedTasksFirst) {
   sim::Engine eng;
-  SimTaskQueue<FakeTask> q(eng, QueuePolicy::fifo);
-  q.push(task(1, 1));
-  q.push(task(2, 1));
+  SimTaskQueue<FakeTask> q(eng, SchedPolicy::fifo);
+  push(q, task(1, 1));
+  push(q, task(2, 1));
   q.close();
   std::vector<int> order;
   eng.spawn(drain_queue(q, order));
@@ -104,9 +118,14 @@ TEST(SchedPolicy, CloseDrainsQueuedTasksFirst) {
 }
 
 TEST(SchedPolicy, ToStringNames) {
-  EXPECT_EQ(to_string(QueuePolicy::fifo), "fifo");
-  EXPECT_EQ(to_string(QueuePolicy::sjf), "sjf");
-  EXPECT_EQ(to_string(QueuePolicy::priority), "priority");
+  sim::Engine eng;
+  for (SchedPolicy p : {SchedPolicy::fifo, SchedPolicy::sjf, SchedPolicy::prio}) {
+    SimTaskQueue<FakeTask> q(eng, p);
+    EXPECT_EQ(q.policy(), p);
+    EXPECT_EQ(rt::parse_sched_policy(rt::to_string(p)), p);
+  }
+  EXPECT_STREQ(rt::to_string(SchedPolicy::sjf), "sjf");
+  EXPECT_EQ(rt::parse_sched_policy("priority"), SchedPolicy::prio);
 }
 
 }  // namespace

@@ -171,9 +171,9 @@ TEST(FilterServer, DownsampleReducesStoredData) {
   EXPECT_EQ(moments->moments().count, 1024u);
   EXPECT_EQ(moments->moments().max, 1023.0);
 
-  const auto s = server.stats();
-  EXPECT_EQ(s.filter_bytes_in, payload.size());
-  EXPECT_EQ(s.filter_bytes_out, 256 * 8u);
+  const auto s = server.metrics();
+  EXPECT_EQ(s.counter("server.filter_bytes_in"), payload.size());
+  EXPECT_EQ(s.counter("server.filter_bytes_out"), 256 * 8u);
   ASSERT_TRUE(client.close(1).is_ok());
 }
 

@@ -62,12 +62,12 @@ TEST(Integrity, V1BothSidesNegotiateChecksums) {
   EXPECT_EQ(fx.client->negotiated_version(), 0) << "no traffic yet";
   run_op_mix(fx, 21);
   EXPECT_EQ(fx.client->negotiated_version(), kProtoVersion);
-  EXPECT_EQ(fx.server->stats().hellos, 1u);
+  EXPECT_EQ(fx.server->metrics().counter("server.integrity.hellos"), 1u);
   // Clean run: every counter on both sides stays at zero.
-  const auto ss = fx.server->stats();
-  EXPECT_EQ(ss.header_crc_errors, 0u);
-  EXPECT_EQ(ss.payload_crc_errors, 0u);
-  EXPECT_EQ(ss.frames_rejected, 0u);
+  const auto ss = fx.server->metrics();
+  EXPECT_EQ(ss.counter("server.integrity.header_crc_errors"), 0u);
+  EXPECT_EQ(ss.counter("server.integrity.payload_crc_errors"), 0u);
+  EXPECT_EQ(ss.counter("server.integrity.frames_rejected"), 0u);
   const auto cs = fx.client->stats();
   EXPECT_EQ(cs.header_crc_errors, 0u);
   EXPECT_EQ(cs.payload_crc_errors, 0u);
@@ -80,7 +80,7 @@ TEST(Integrity, V1ClientInteropsWithV0Server) {
   // The hello happened, but the server clamped the connection to v0:
   // checksums stay off and everything still works.
   EXPECT_EQ(fx.client->negotiated_version(), 0);
-  EXPECT_EQ(fx.server->stats().hellos, 1u);
+  EXPECT_EQ(fx.server->metrics().counter("server.integrity.hellos"), 1u);
 }
 
 TEST(Integrity, V0ClientInteropsWithV1Server) {
@@ -88,7 +88,7 @@ TEST(Integrity, V0ClientInteropsWithV1Server) {
   run_op_mix(fx, 23);
   // A v0 client never sends hello; the server leaves the connection at v0.
   EXPECT_EQ(fx.client->negotiated_version(), 0);
-  EXPECT_EQ(fx.server->stats().hellos, 0u);
+  EXPECT_EQ(fx.server->metrics().counter("server.integrity.hellos"), 0u);
 }
 
 TEST(Integrity, FutureClientVersionClampsToServers) {
@@ -119,7 +119,7 @@ TEST(Integrity, HelloRepeatsPerConnection) {
   ASSERT_TRUE(client.shutdown().is_ok());  // server closes this connection
   // Next op redials, which renegotiates, replays open, and succeeds.
   ASSERT_TRUE(client.write(1, 0, pattern(1_KiB, 25)).is_ok());
-  EXPECT_EQ(server->stats().hellos, 2u);
+  EXPECT_EQ(server->metrics().counter("server.integrity.hellos"), 2u);
   EXPECT_EQ(client.negotiated_version(), kProtoVersion);
 }
 

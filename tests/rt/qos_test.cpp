@@ -110,10 +110,10 @@ TEST(Qos, OverBudgetAsyncWritesDemoteToSyncStagingWithDataIntact) {
   }
   ASSERT_TRUE(client.fsync(1).is_ok());
 
-  const auto st = tc.server().stats();
-  EXPECT_EQ(st.qos_throttled_ops, kOps);
-  EXPECT_EQ(st.qos_admitted_bytes, 0u);
-  EXPECT_EQ(st.degraded_sync_writes, kOps);
+  const auto st = tc.server().metrics();
+  EXPECT_EQ(st.counter("server.qos.throttled_ops"), kOps);
+  EXPECT_EQ(st.counter("server.qos.admitted_bytes"), 0u);
+  EXPECT_EQ(st.counter("server.degraded_sync_writes"), kOps);
 
   EXPECT_EQ(tc.drain_and_snapshot("f"), golden);
 }
@@ -134,10 +134,10 @@ TEST(Qos, WithinBudgetWritesKeepTheFastPath) {
   }
   ASSERT_TRUE(client.fsync(1).is_ok());
 
-  const auto st = tc.server().stats();
-  EXPECT_EQ(st.qos_throttled_ops, 0u);
-  EXPECT_EQ(st.qos_admitted_bytes, 4 * 64_KiB);
-  EXPECT_EQ(st.degraded_sync_writes, 0u);
+  const auto st = tc.server().metrics();
+  EXPECT_EQ(st.counter("server.qos.throttled_ops"), 0u);
+  EXPECT_EQ(st.counter("server.qos.admitted_bytes"), 4 * 64_KiB);
+  EXPECT_EQ(st.counter("server.degraded_sync_writes"), 0u);
 }
 
 TEST(Qos, TenantTagPropagatesToEveryShardThroughRoutingClient) {
@@ -211,9 +211,10 @@ TEST(Qos, FaultHookForcesThrottleVerdictsFromAFaultPlan) {
   }
   ASSERT_TRUE(client.fsync(1).is_ok());
 
-  const auto st = tc.server().stats();
-  EXPECT_EQ(st.degraded_sync_writes, 2u);
-  EXPECT_EQ(st.qos_throttled_ops, 0u) << "the hook is not the governor: no QoS counters";
+  const auto st = tc.server().metrics();
+  EXPECT_EQ(st.counter("server.degraded_sync_writes"), 2u);
+  EXPECT_EQ(st.counter("server.qos.throttled_ops"), 0u)
+      << "the hook is not the governor: no QoS counters";
 
   EXPECT_EQ(tc.drain_and_snapshot("f"), golden);
 }

@@ -35,7 +35,8 @@ namespace iofwd::rt {
 namespace {
 
 constexpr SchedPolicy kAllPolicies[] = {SchedPolicy::fifo, SchedPolicy::prio,
-                                        SchedPolicy::edf, SchedPolicy::fair};
+                                        SchedPolicy::edf, SchedPolicy::fair,
+                                        SchedPolicy::sjf};
 constexpr std::uint64_t kQuantum = 64 << 10;  // small quantum: more rotations
 constexpr std::uint64_t kTenants = 6;
 constexpr std::uint64_t kMaxBytes = 128 << 10;
@@ -103,9 +104,17 @@ class Model {
       case SchedPolicy::edf:
         // Earliest absolute deadline (no deadline = never); push order ties.
         for (std::size_t i = 1; i < items_.size(); ++i) {
-          const auto ki = EdfScheduler<int>::deadline_key(items_[i].meta);
-          const auto kb = EdfScheduler<int>::deadline_key(items_[best].meta);
+          const auto ki = deadline_key(items_[i].meta);
+          const auto kb = deadline_key(items_[best].meta);
           if (ki < kb || (ki == kb && items_[i].seq < items_[best].seq)) best = i;
+        }
+        break;
+      case SchedPolicy::sjf:
+        // Fewest bytes; push order ties.
+        for (std::size_t i = 1; i < items_.size(); ++i) {
+          const auto bi = items_[i].meta.bytes;
+          const auto bb = items_[best].meta.bytes;
+          if (bi < bb || (bi == bb && items_[i].seq < items_[best].seq)) best = i;
         }
         break;
       case SchedPolicy::fair:
@@ -386,6 +395,32 @@ TEST(SchedDirected, DrrSmallOpsShareQuantumLargeOpsWaitForCredit) {
   EXPECT_TRUE(std::is_sorted(t1.begin(), t1.end()));
 }
 
+TEST(SchedDirected, DrrDropsTheStateOfDrainedTenants) {
+  // Tenant ids come from the client's hello; one that cycles through fresh
+  // ids must not grow the server. A drained tenant leaves no state behind.
+  DrrScheduler<int> s(kQuantum);
+  const auto now = std::chrono::steady_clock::now();
+  for (std::uint64_t tenant = 0; tenant < 10'000; ++tenant) {
+    s.push(meta(tenant, 0, 0, 1, now), static_cast<int>(tenant));
+    EXPECT_EQ(s.pop(), static_cast<int>(tenant));
+  }
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_EQ(s.tenants(), 0u);
+}
+
+TEST(SchedDirected, SjfServesSmallestFirstFifoAmongEqualSizes) {
+  auto s = make_scheduler<int>(SchedPolicy::sjf);
+  const auto now = std::chrono::steady_clock::now();
+  s->push(meta(0, 3, 10, 100, now), 1);
+  s->push(meta(0, 0, 0, 1, now), 2);
+  s->push(meta(0, 0, 0, 50, now), 3);
+  s->push(meta(0, 0, 0, 1, now), 4);
+  EXPECT_EQ(s->pop(), 2);
+  EXPECT_EQ(s->pop(), 4);  // same size as 2: push order
+  EXPECT_EQ(s->pop(), 3);
+  EXPECT_EQ(s->pop(), 1);  // class and deadline do not matter
+}
+
 TEST(SchedDirected, TaskQueueRoutesMetadataToThePolicy) {
   // The queue-level surface: a prio TaskQueue pops the high class first.
   TaskQueue<int> q(/*workers_hint=*/1, SchedPolicy::prio);
@@ -410,7 +445,7 @@ TEST(SchedDirected, PolicyNamesRoundTripAndAliasesParse) {
     EXPECT_EQ(*parsed, p);
   }
   EXPECT_EQ(parse_sched_policy("priority"), SchedPolicy::prio);  // shared alias
-  EXPECT_FALSE(parse_sched_policy("sjf").has_value());           // simulator-only
+  EXPECT_EQ(parse_sched_policy("sjf"), SchedPolicy::sjf);  // the simulator's, now shared
   EXPECT_FALSE(parse_sched_policy("").has_value());
 }
 

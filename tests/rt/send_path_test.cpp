@@ -141,8 +141,8 @@ TEST(SendPath, SlowReaderParksRepliesThenDeliversAll) {
   // The queue actually filled: replies were accepted faster than the stalled
   // reader drained them.
   ASSERT_TRUE(eventually([&] {
-    const auto st = server.stats();
-    return st.replies_enqueued > st.replies_sent;
+    const auto st = server.metrics();
+    return st.counter("server.reply.enqueued") > st.counter("server.reply.sent");
   })) << "replies never parked in the send queue";
 
   // Now read everything: each drained ring fires the write-readiness edge
@@ -157,15 +157,15 @@ TEST(SendPath, SlowReaderParksRepliesThenDeliversAll) {
   }
 
   ASSERT_TRUE(eventually([&] {
-    const auto st = server.stats();
-    return st.replies_sent == st.replies_enqueued;
+    const auto st = server.metrics();
+    return st.counter("server.reply.sent") == st.counter("server.reply.enqueued");
   }));
-  const auto st = server.stats();
-  EXPECT_EQ(st.reply_queue_full, 0u);
-  EXPECT_EQ(st.reply_peer_gone, 0u);
+  const auto st = server.metrics();
+  EXPECT_EQ(st.counter("server.reply.queue_full"), 0u);
+  EXPECT_EQ(st.counter("server.reply.peer_gone"), 0u);
 
   server.stop();
-  EXPECT_EQ(server.stats().bml_in_use, 0u) << "a parked reply leaked its lease";
+  EXPECT_EQ(server.metrics().gauge("server.bml_in_use"), 0) << "a parked reply leaked its lease";
 }
 
 TEST(SendPath, QueueFullDropsOnlyTheStalledConnection) {
@@ -195,7 +195,7 @@ TEST(SendPath, QueueFullDropsOnlyTheStalledConnection) {
     rd.payload_len = 16_KiB;
     if (!stalled.send(rd)) break;
   }
-  ASSERT_TRUE(eventually([&] { return server.stats().reply_queue_full >= 1; }))
+  ASSERT_TRUE(eventually([&] { return server.metrics().counter("server.reply.queue_full") >= 1; }))
       << "the send-queue bound never tripped";
 
   // The stalled connection was dropped: its stream reads EOF once the
@@ -219,9 +219,11 @@ TEST(SendPath, QueueFullDropsOnlyTheStalledConnection) {
   EXPECT_EQ(back, data);
 
   server.stop();
-  const auto final_st = server.stats();
-  EXPECT_EQ(final_st.bml_in_use, 0u) << "aborting the queue must release pinned leases";
-  EXPECT_GE(final_st.reply_peer_gone, 1u) << "queued replies behind the drop were not accounted";
+  const auto final_st = server.metrics();
+  EXPECT_EQ(final_st.gauge("server.bml_in_use"), 0)
+      << "aborting the queue must release pinned leases";
+  EXPECT_GE(final_st.counter("server.reply.peer_gone"), 1u)
+      << "queued replies behind the drop were not accounted";
 }
 
 // A stream that hides its readiness fds: the server must serve it with a
@@ -260,9 +262,10 @@ TEST(SendPath, NonPollableStreamFallsBackToBlockingReplies) {
   ASSERT_TRUE(conn.roundtrip(rd, {}, nullptr, &back));
   EXPECT_EQ(back, data);
 
-  const auto st = server.stats();
-  EXPECT_GE(st.reply_sync_fallback, 4u) << "hello/open/write/read all reply synchronously here";
-  EXPECT_EQ(st.replies_enqueued, 0u) << "nothing should touch the async queue";
+  const auto st = server.metrics();
+  EXPECT_GE(st.counter("server.reply.sync_fallback"), 4u)
+      << "hello/open/write/read all reply synchronously here";
+  EXPECT_EQ(st.counter("server.reply.enqueued"), 0u) << "nothing should touch the async queue";
   server.stop();
 }
 
@@ -287,7 +290,7 @@ TEST(SendPath, FstatIsTheOnlyReplyCopy) {
   std::vector<std::byte> back;
   ASSERT_TRUE(conn.roundtrip(rd, {}, nullptr, &back));
   EXPECT_EQ(back, data);
-  EXPECT_EQ(server.stats().reply_payload_copy_bytes, 0u);
+  EXPECT_EQ(server.metrics().counter("server.reply.payload_copy_bytes"), 0u);
 
   // fstat's 8-byte size payload lives on the worker's stack, so it is the
   // one reply that must be copied into the queue entry — and counted.
@@ -301,7 +304,7 @@ TEST(SendPath, FstatIsTheOnlyReplyCopy) {
   std::uint64_t size = 0;
   std::memcpy(&size, size_payload.data(), 8);
   EXPECT_EQ(size, 16_KiB);
-  EXPECT_EQ(server.stats().reply_payload_copy_bytes, 8u);
+  EXPECT_EQ(server.metrics().counter("server.reply.payload_copy_bytes"), 8u);
   server.stop();
 }
 
@@ -394,12 +397,13 @@ TEST(SendPath, ClusterSurvivesTinyPipesUnderConcurrency) {
   EXPECT_EQ(failures.load(), 0);
 
   // Counters only after stop() has joined the lanes: a client can consume
-  // its last reply a beat before the lane bumps replies_sent.
+  // its last reply a beat before the lane bumps server.reply.sent.
   tc.stop();
-  const auto st = tc.server().stats();
-  EXPECT_EQ(st.reply_queue_full, 0u) << "a live reader must never trip the queue bound";
-  EXPECT_EQ(st.replies_sent, st.replies_enqueued);
-  EXPECT_EQ(st.bml_in_use, 0u);
+  const auto st = tc.server().metrics();
+  EXPECT_EQ(st.counter("server.reply.queue_full"), 0u)
+      << "a live reader must never trip the queue bound";
+  EXPECT_EQ(st.counter("server.reply.sent"), st.counter("server.reply.enqueued"));
+  EXPECT_EQ(st.gauge("server.bml_in_use"), 0);
 }
 
 }  // namespace

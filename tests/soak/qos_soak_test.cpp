@@ -152,9 +152,9 @@ TEST_P(QosSoak, TenantsStayIsolatedUnderThrottlingAndFaults) {
   EXPECT_EQ(giveups, 0u);
 
   // The governor engaged, and every demotion is a sync staging, never a loss.
-  const auto st = tc.server().stats();
-  EXPECT_GT(st.qos_throttled_ops, 0u) << "budget too loose to prove anything";
-  EXPECT_GE(st.degraded_sync_writes, st.qos_throttled_ops)
+  const auto st = tc.server().metrics();
+  EXPECT_GT(st.counter("server.qos.throttled_ops"), 0u) << "budget too loose to prove anything";
+  EXPECT_GE(st.counter("server.degraded_sync_writes"), st.counter("server.qos.throttled_ops"))
       << "every throttled write must have been demoted";
 
   // Per-tenant attribution: each tenant's traffic landed in its own bucket
@@ -169,9 +169,9 @@ TEST_P(QosSoak, TenantsStayIsolatedUnderThrottlingAndFaults) {
 
   // Clean drain: quiesce, then no lease may survive.
   tc.stop();
-  const auto drained = tc.server().stats();
-  EXPECT_EQ(drained.bml_in_use, 0u) << "BML pool leaked a lease";
-  EXPECT_EQ(drained.bb_cached_bytes, 0u) << "burst-buffer cache leaked a lease";
+  const auto drained = tc.server().metrics();
+  EXPECT_EQ(drained.gauge("server.bml_in_use"), 0) << "BML pool leaked a lease";
+  EXPECT_EQ(drained.gauge("bb.cached_bytes"), 0) << "burst-buffer cache leaked a lease";
 
   // Golden bytes: the terminal backend holds exactly what each tenant wrote.
   for (int id = 0; id < n_clients; ++id) {

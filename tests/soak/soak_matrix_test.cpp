@@ -194,8 +194,9 @@ TEST_P(SoakMatrix, EveryClientIsolatedNoSilentCorruptionCleanDrain) {
       const auto cs = tc.client(static_cast<std::size_t>(id)).stats();
       detected += cs.header_crc_errors + cs.payload_crc_errors;
     }
-    const auto ss = tc.server().stats();
-    detected += ss.header_crc_errors + ss.payload_crc_errors;
+    const auto ss = tc.server().metrics();
+    detected += ss.counter("server.integrity.header_crc_errors") +
+        ss.counter("server.integrity.payload_crc_errors");
     EXPECT_GT(injected, 0u) << "storm too quiet to prove anything";
     EXPECT_EQ(detected, injected) << "an injected corruption went undetected";
   }
@@ -207,15 +208,17 @@ TEST_P(SoakMatrix, EveryClientIsolatedNoSilentCorruptionCleanDrain) {
   // counter is settled): replies parked (the cell is pointless if the queue
   // never engaged), nothing dropped, nothing still queued.
   if (mode == FaultMode::slow_reader) {
-    const auto ss = tc.server().stats();
-    EXPECT_GT(ss.replies_enqueued, 0u);
-    EXPECT_EQ(ss.reply_queue_full, 0u) << "a merely-slow reader must never be dropped";
-    EXPECT_EQ(ss.reply_peer_gone, 0u);
-    EXPECT_EQ(ss.replies_sent, ss.replies_enqueued) << "a parked reply was never delivered";
+    const auto ss = tc.server().metrics();
+    EXPECT_GT(ss.counter("server.reply.enqueued"), 0u);
+    EXPECT_EQ(ss.counter("server.reply.queue_full"), 0u)
+        << "a merely-slow reader must never be dropped";
+    EXPECT_EQ(ss.counter("server.reply.peer_gone"), 0u);
+    EXPECT_EQ(ss.counter("server.reply.sent"), ss.counter("server.reply.enqueued"))
+        << "a parked reply was never delivered";
   }
-  const auto st = tc.server().stats();
-  EXPECT_EQ(st.bml_in_use, 0u) << "BML pool leaked a lease";
-  EXPECT_EQ(st.bb_cached_bytes, 0u) << "burst-buffer cache leaked a lease";
+  const auto st = tc.server().metrics();
+  EXPECT_EQ(st.gauge("server.bml_in_use"), 0) << "BML pool leaked a lease";
+  EXPECT_EQ(st.gauge("bb.cached_bytes"), 0) << "burst-buffer cache leaked a lease";
 
   // Zero undetected corruption: the terminal backend holds the golden bytes.
   for (int id = 0; id < n_clients; ++id) {

@@ -27,9 +27,9 @@ TEST(PriorityWorkload, PrioritySchedulingCutsInteractiveLatency) {
   const auto cfg = bgp::MachineConfig::intrepid();
   proto::ForwarderConfig fifo;
   fifo.workers = 2;
-  fifo.policy = proto::QueuePolicy::fifo;
+  fifo.policy = rt::SchedPolicy::fifo;
   proto::ForwarderConfig prio = fifo;
-  prio.policy = proto::QueuePolicy::priority;
+  prio.policy = rt::SchedPolicy::prio;
 
   const auto r_fifo = run_priority(proto::Mechanism::zoid_sched, cfg, fifo, quick());
   const auto r_prio = run_priority(proto::Mechanism::zoid_sched, cfg, prio, quick());
@@ -43,7 +43,7 @@ TEST(PriorityWorkload, SjfAlsoHelpsSmallOps) {
   proto::ForwarderConfig fifo;
   fifo.workers = 2;
   proto::ForwarderConfig sjf = fifo;
-  sjf.policy = proto::QueuePolicy::sjf;
+  sjf.policy = rt::SchedPolicy::sjf;
   const auto r_fifo = run_priority(proto::Mechanism::zoid_sched, cfg, fifo, quick());
   const auto r_sjf = run_priority(proto::Mechanism::zoid_sched, cfg, sjf, quick());
   EXPECT_LT(r_sjf.interactive_p99_latency_us, r_fifo.interactive_p99_latency_us);
