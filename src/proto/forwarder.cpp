@@ -83,11 +83,8 @@ sim::Proc<void> Forwarder::tree_data_in(std::uint64_t bytes) {
   // Three legs progress concurrently: the CN's injection (its own dedicated
   // core, hence a plain delay), the shared tree wire, and the ION-side
   // reception/copy.
-  std::vector<sim::Proc<void>> legs;
-  legs.push_back(cn_inject(bytes));
-  legs.push_back(pset_.tree().transfer(bytes));
-  legs.push_back(consume_cpu(static_cast<double>(bytes) * tree_recv_cost_ns_b()));
-  co_await sim::when_all(eng_, std::move(legs));
+  co_await sim::when_all(eng_, cn_inject(bytes), pset_.tree().transfer(bytes),
+                         consume_cpu(static_cast<double>(bytes) * tree_recv_cost_ns_b()));
 }
 
 double Forwarder::tree_recv_cost_ns_b() const {
@@ -137,19 +134,14 @@ sim::Proc<void> Forwarder::sink_wire(SinkTarget sink, std::uint64_t bytes) {
       auto& da = machine_.da(sink.da_id);
       // ION NIC, the DA's NIC, and the DA-side protocol processing all
       // progress concurrently with each other.
-      std::vector<sim::Proc<void>> legs;
-      legs.push_back(pset_.ion().nic().transfer(bytes));
-      legs.push_back(da.nic().transfer(bytes));
-      legs.push_back(da_cpu(da, static_cast<double>(bytes) * mc_.da_tcp_cost_ns_b));
-      co_await sim::when_all(eng_, std::move(legs));
+      co_await sim::when_all(eng_, pset_.ion().nic().transfer(bytes), da.nic().transfer(bytes),
+                             da_cpu(da, static_cast<double>(bytes) * mc_.da_tcp_cost_ns_b));
       co_return;
     }
     case SinkTarget::Kind::storage: {
       auto& st = machine_.storage();
-      std::vector<sim::Proc<void>> legs;
-      legs.push_back(pset_.ion().nic().transfer(bytes));
-      legs.push_back(st.serve(st.fsn_for(sink.block), bytes));
-      co_await sim::when_all(eng_, std::move(legs));
+      co_await sim::when_all(eng_, pset_.ion().nic().transfer(bytes),
+                             st.serve(st.fsn_for(sink.block), bytes));
       co_return;
     }
   }

@@ -25,9 +25,10 @@
 // frees its slot at once and its FIFO entry is skipped when reached.
 // retime() moves a pending event to a new time in place: the same slot and
 // callback, a fresh id, so it fires exactly as cancel() + schedule would
-// have. Coroutine frames come from a per-thread pool (process.hpp). On the
-// Fig. 9 point (sim_ladder) the three cut the cost of an event from about
-// 140 ns to about 100 ns on one pinned core of a shared 4-vCPU x86-64 VM.
+// have. Coroutine frames come from a per-thread pool (process.hpp).
+// DESIGN.md §8 records the cost per event on the Fig. 9 point (sim_ladder)
+// that each of these, and the later fluid-resource and fan-out changes,
+// brought.
 #pragma once
 
 #include <coroutine>

@@ -31,6 +31,7 @@ double FluidResource::current_per_flow_rate() const { return rate_per_flow_; }
 void FluidResource::add_flow(double units, std::coroutine_handle<> h) {
   advance();
   flows_.push_back(Flow{units, h});
+  min_remaining_ = std::min(min_remaining_, units);
   reschedule();
 }
 
@@ -41,11 +42,14 @@ void FluidResource::advance() {
   if (dt <= 0 || flows_.empty()) return;
 
   const double served_per_flow = rate_per_flow_ * static_cast<double>(dt);
+  double min_rem = std::numeric_limits<double>::infinity();
   for (auto& f : flows_) {
     const double s = std::min(f.remaining, served_per_flow);
     f.remaining -= s;
     total_served_ += s;
+    min_rem = std::min(min_rem, f.remaining);
   }
+  min_remaining_ = min_rem;
   busy_time_ += dt;
 }
 
@@ -64,12 +68,9 @@ void FluidResource::reschedule() {
   assert(total > 0 && "fluid resource capacity must be positive while flows are active");
   rate_per_flow_ = std::min(total / n, per_flow_cap_);
 
-  double min_rem = std::numeric_limits<double>::infinity();
-  for (const auto& f : flows_) min_rem = std::min(min_rem, f.remaining);
-
   // Ceil so no completion fires early; the epsilon sweep in on_timer()
   // absorbs the sub-nanosecond residue.
-  const double dt = std::max(0.0, min_rem - kEpsilonUnits) / rate_per_flow_;
+  const double dt = std::max(0.0, min_remaining_ - kEpsilonUnits) / rate_per_flow_;
   const SimTime at = eng_.now() + static_cast<SimTime>(std::ceil(dt));
   // An armed timer moves in place: no new callback, and the same id that
   // cancel + schedule would give.
@@ -84,16 +85,19 @@ void FluidResource::on_timer() {
   // Complete every flow whose remaining work is (numerically) zero, in
   // arrival order, and keep the survivors in arrival order.
   std::size_t kept = 0;
+  double min_rem = std::numeric_limits<double>::infinity();
   for (const Flow& f : flows_) {
     if (f.remaining <= kEpsilonUnits) {
       total_served_ += f.remaining;  // account the residue
       eng_.schedule_resume_after(0, f.h);
     } else {
       flows_[kept++] = f;
+      min_rem = std::min(min_rem, f.remaining);
     }
   }
   assert(kept < flows_.size() && "completion timer fired with no completed flow");
   flows_.resize(kept);
+  min_remaining_ = min_rem;
   reschedule();
 }
 

@@ -3,8 +3,11 @@
 // These are the hardware substitution at the heart of the reproduction (see
 // DESIGN.md Sec. 2): network links and CPU pools are modeled as resources
 // whose instantaneous capacity is divided equally among the flows active on
-// them. When a flow arrives or departs, every active flow's progress is
-// advanced and the next completion event is recomputed. Within the fluid
+// them. When a flow arrives or departs after simulated time has passed,
+// every active flow's progress is advanced; then the next completion event is
+// recomputed from the least remaining work, which the resource keeps up to
+// date as it goes, so a burst of same-instant arrivals costs O(1) each and
+// not a scan of the active flows. Within the fluid
 // abstraction this is exact, and it is what makes the paper's contention
 // phenomena (ION threads fighting over 4 slow cores, a shared tree link)
 // emerge from first principles instead of being curve-fitted.
@@ -88,6 +91,9 @@ class FluidResource {
   double per_flow_cap_;
 
   std::vector<Flow> flows_;
+  // Least `remaining` over flows_ (infinity when empty), kept by advance(),
+  // add_flow() and on_timer() so reschedule() needs no scan.
+  double min_remaining_ = std::numeric_limits<double>::infinity();
   SimTime last_update_ = 0;
   double rate_per_flow_ = 0;  // current service rate per flow
   Engine::EventId timer_ = 0;

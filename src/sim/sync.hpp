@@ -324,14 +324,26 @@ inline Proc<void> when_all(Engine& eng, std::vector<Proc<void>> ps) {
   co_await wg.wait();
 }
 
-// Binary convenience overload: the common "charge CPU while the wire moves
-// the bytes" pattern, where an operation's elapsed time is the max of two
-// concurrently progressing resource usages.
+// Fixed-arity overloads for the per-chunk fan-outs (CPU charged while the
+// wire moves the bytes: an operation takes the max of its concurrently
+// progressing resource usages). They spawn the legs in argument order
+// straight into the group, with no vector and no nested frame, and so
+// schedule exactly the events the vector overload does.
 inline Proc<void> when_all(Engine& eng, Proc<void> a, Proc<void> b) {
-  std::vector<Proc<void>> ps;
-  ps.push_back(std::move(a));
-  ps.push_back(std::move(b));
-  co_await when_all(eng, std::move(ps));
+  WaitGroup wg(eng);
+  wg.add(2);
+  eng.spawn(detail::run_into_group(std::move(a), wg));
+  eng.spawn(detail::run_into_group(std::move(b), wg));
+  co_await wg.wait();
+}
+
+inline Proc<void> when_all(Engine& eng, Proc<void> a, Proc<void> b, Proc<void> c) {
+  WaitGroup wg(eng);
+  wg.add(3);
+  eng.spawn(detail::run_into_group(std::move(a), wg));
+  eng.spawn(detail::run_into_group(std::move(b), wg));
+  eng.spawn(detail::run_into_group(std::move(c), wg));
+  co_await wg.wait();
 }
 
 }  // namespace iofwd::sim

@@ -243,9 +243,9 @@ TEST(Engine, ScheduleIntoThePastFailsFastInEveryBuild) {
 // (nested schedules, retimes, cancelling themselves or a same-time
 // sibling), so re-entrant use is covered too. After every op, and inside
 // every fired event, now(), events_processed() and events_pending() must
-// agree with the model. Half the streams are zero-delay heavy. A failing
-// stream is shrunk greedily and printed with its seed; replay with
-// IOFWD_TEST_SEED=0x...
+// agree with the model. Of the 80 streams, 30 are zero-delay heavy and 20
+// keep dozens of events in the heap. A failing stream is shrunk greedily
+// and printed with its seed; replay with IOFWD_TEST_SEED=0x...
 //
 // Cancels and retimes pick their victim when they run (the i-th pending
 // event, the i-th already-fired or cancelled id, ...) and are skipped when
@@ -349,6 +349,8 @@ struct Coverage {
   std::uint64_t retime_dead = 0;
   std::uint64_t heap_before_zero = 0;  // a heap event fired while a later zero-delay one waits
   std::uint64_t run_until_zero = 0;    // run_until fired a zero-delay event at its limit
+  std::size_t heap_peak = 0;           // most events pending in the heap at once
+  std::uint64_t heap_interior = 0;     // a cancel or retime below the root of a 21+ entry heap
 };
 
 class Harness {
@@ -528,10 +530,25 @@ class Harness {
           return a.t != b.t ? a.t < b.t : a.order < b.order;
         });
     pending_.insert(at, p);
+    cov_.heap_peak = std::max(cov_.heap_peak, heap_size());
+  }
+
+  // The engine keeps every event that was not due at the instant it was
+  // queued in its heap; the heap's root is the first of them.
+  std::size_t heap_size() const {
+    return static_cast<std::size_t>(std::count_if(
+        pending_.begin(), pending_.end(), [&](const Pending& p) { return !zero_[p.tag]; }));
+  }
+  void note_heap_victim(std::size_t tag) {
+    if (zero_[tag]) return;
+    const auto root = std::find_if(pending_.begin(), pending_.end(),
+                                   [&](const Pending& p) { return !zero_[p.tag]; });
+    if (root->tag != tag && heap_size() >= 21) ++cov_.heap_interior;
   }
 
   void retime(std::size_t i, SimTime t) {
     const Pending old = pending_[i];
+    note_heap_victim(old.tag);
     ++(t == now_ ? cov_.retime_now : t < old.t ? cov_.retime_earlier : cov_.retime_later);
     pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
     const Engine::EventId old_id = ids_[old.tag];
@@ -544,6 +561,7 @@ class Harness {
 
   void cancel_tag(std::size_t tag) {
     if (running_ && zero_[tag]) ++cov_.cancel_zero_nested;
+    note_heap_victim(tag);
     pending_.erase(std::find_if(pending_.begin(), pending_.end(),
                                 [&](const Pending& p) { return p.tag == tag; }));
     dead_.push_back(ids_[tag]);
@@ -620,8 +638,13 @@ std::vector<Op> minimize(std::vector<Op> ops) {
 
 // `zero_heavy` streams schedule, retime and run_until mostly with no delay,
 // so the engine's run queue holds most events and cancels and retimes hit
-// it often.
-Op random_op(Rng& rng, int depth, bool zero_heavy) {
+// it often. `heap_heavy` streams rarely run and schedule further out, so
+// the heap grows several levels deep and cancels and retimes hit entries
+// below its root.
+enum class Mix { plain, zero_heavy, heap_heavy };
+
+Op random_op(Rng& rng, int depth, Mix mix) {
+  const bool zero_heavy = mix == Mix::zero_heavy;
   Op op;
   const std::uint64_t r = rng.below(100);
   // Small time steps: many events share a time, so the sequence tie-break
@@ -660,18 +683,26 @@ Op random_op(Rng& rng, int depth, bool zero_heavy) {
   if (op.kind == Kind::run_until) {
     op.dt = zero_heavy && rng.below(100) < 40 ? 0 : static_cast<SimTime>(rng.below(20));
   }
+  if (mix == Mix::heap_heavy) {
+    if ((op.kind == Kind::run_until || op.kind == Kind::run) && rng.below(100) < 75) {
+      op.kind = Kind::schedule_at;
+    }
+    if (is_schedule(op.kind) || op.kind == Kind::retime) {
+      op.dt = 1 + static_cast<SimTime>(rng.below(40));
+    }
+  }
   if (is_schedule(op.kind) && depth < 2 && rng.below(100) < 35) {
     const std::uint64_t n = 1 + rng.below(3);
-    for (std::uint64_t i = 0; i < n; ++i) op.on_fire.push_back(random_op(rng, depth + 1, zero_heavy));
+    for (std::uint64_t i = 0; i < n; ++i) op.on_fire.push_back(random_op(rng, depth + 1, mix));
   }
   return op;
 }
 
-std::vector<Op> generate(std::uint64_t seed, std::size_t count, bool zero_heavy) {
+std::vector<Op> generate(std::uint64_t seed, std::size_t count, Mix mix) {
   Rng rng(seed);
   std::vector<Op> ops;
   ops.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) ops.push_back(random_op(rng, 0, zero_heavy));
+  for (std::size_t i = 0; i < count; ++i) ops.push_back(random_op(rng, 0, mix));
   return ops;
 }
 
@@ -679,8 +710,9 @@ TEST(EngineModel, RandomStreamsMatchReferenceModel) {
   const std::uint64_t seed = testsupport::test_seed("engine_model", 0xe7e47ull);
   Rng salt(seed);
   Coverage cov;
-  for (int round = 0; round < 60; ++round) {
-    const auto ops = generate(salt.next(), 200, /*zero_heavy=*/round % 2 == 1);
+  for (int round = 0; round < 80; ++round) {
+    const Mix mix = round >= 60 ? Mix::heap_heavy : round % 2 == 1 ? Mix::zero_heavy : Mix::plain;
+    const auto ops = generate(salt.next(), 200, mix);
     auto err = run_stream(ops, cov);
     if (!err) continue;
     const auto minimal = minimize(ops);
@@ -709,6 +741,10 @@ TEST(EngineModel, RandomStreamsMatchReferenceModel) {
   EXPECT_GT(cov.retime_dead, 0u);
   EXPECT_GT(cov.heap_before_zero, 0u);
   EXPECT_GT(cov.run_until_zero, 0u);
+  // A heap of 21+ entries (five levels deep), and cancels and retimes of
+  // entries below the root of a heap that size.
+  EXPECT_GE(cov.heap_peak, 21u);
+  EXPECT_GT(cov.heap_interior, 0u);
 }
 
 }  // namespace

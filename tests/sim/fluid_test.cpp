@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "core/units.hpp"
 #include "sim/sync.hpp"
+#include "testsupport/testsupport.hpp"
 
 namespace iofwd::sim {
 namespace {
@@ -327,6 +333,252 @@ TEST_P(FluidConservation, TotalServedEqualsTotalDemand) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidConservation, ::testing::Values(1u, 2u, 3u, 99u, 12345u));
+
+// ---------------------------------------------------------------------------
+// Reference model. ScanFluid is FluidResource as it was before the resource
+// kept its flows' least remaining work as a member: it rescans every active
+// flow on each arrival and completion. Its advance, epsilon and ceil rules
+// are the production ones, and it schedules and retimes its timer the same
+// way, so driven by the same arrivals on its own engine it must give
+// bit-identical completion times, in the same order, and the same work and
+// busy-time totals. Replay a failure with IOFWD_TEST_SEED=0x...
+// ---------------------------------------------------------------------------
+class ScanFluid {
+ public:
+  ScanFluid(Engine& eng, FluidResource::CapacityFn total_rate, const std::string& /*name*/,
+            double per_flow_cap)
+      : eng_(eng), total_rate_(std::move(total_rate)), per_flow_cap_(per_flow_cap) {}
+  ~ScanFluid() {
+    if (timer_armed_) eng_.cancel(timer_);
+  }
+  ScanFluid(const ScanFluid&) = delete;
+  ScanFluid& operator=(const ScanFluid&) = delete;
+
+  struct Consume {
+    ScanFluid& r;
+    double units;
+    bool await_ready() const noexcept { return units <= 0; }
+    void await_suspend(std::coroutine_handle<> h) { r.add_flow(units, h); }
+    void await_resume() const noexcept {}
+  };
+  Consume consume(double units) { return Consume{*this, units}; }
+
+  int active() const { return static_cast<int>(flows_.size()); }
+  double total_served() const { return total_served_; }
+  SimTime busy_time() const { return busy_time_; }
+
+ private:
+  static constexpr double kEpsilonUnits = 1e-6;
+  struct Flow {
+    double remaining;
+    std::coroutine_handle<> h;
+  };
+
+  void add_flow(double units, std::coroutine_handle<> h) {
+    advance();
+    flows_.push_back(Flow{units, h});
+    reschedule();
+  }
+
+  void advance() {
+    const SimTime now = eng_.now();
+    const SimTime dt = now - last_update_;
+    last_update_ = now;
+    if (dt <= 0 || flows_.empty()) return;
+    const double served_per_flow = rate_per_flow_ * static_cast<double>(dt);
+    for (auto& f : flows_) {
+      const double s = std::min(f.remaining, served_per_flow);
+      f.remaining -= s;
+      total_served_ += s;
+    }
+    busy_time_ += dt;
+  }
+
+  void reschedule() {
+    if (flows_.empty()) {
+      if (timer_armed_) {
+        eng_.cancel(timer_);
+        timer_armed_ = false;
+      }
+      rate_per_flow_ = 0;
+      return;
+    }
+    const int n = static_cast<int>(flows_.size());
+    rate_per_flow_ = std::min(total_rate_(n) / n, per_flow_cap_);
+    double min_rem = std::numeric_limits<double>::infinity();
+    for (const auto& f : flows_) min_rem = std::min(min_rem, f.remaining);
+    const double dt = std::max(0.0, min_rem - kEpsilonUnits) / rate_per_flow_;
+    const SimTime at = eng_.now() + static_cast<SimTime>(std::ceil(dt));
+    timer_ = timer_armed_ ? eng_.retime(timer_, at) : eng_.schedule_at(at, [this] { on_timer(); });
+    timer_armed_ = true;
+  }
+
+  void on_timer() {
+    timer_armed_ = false;
+    advance();
+    std::size_t kept = 0;
+    for (const Flow& f : flows_) {
+      if (f.remaining <= kEpsilonUnits) {
+        total_served_ += f.remaining;
+        eng_.schedule_resume_after(0, f.h);
+      } else {
+        flows_[kept++] = f;
+      }
+    }
+    flows_.resize(kept);
+    reschedule();
+  }
+
+  Engine& eng_;
+  FluidResource::CapacityFn total_rate_;
+  double per_flow_cap_;
+  std::vector<Flow> flows_;
+  SimTime last_update_ = 0;
+  double rate_per_flow_ = 0;
+  Engine::EventId timer_ = 0;
+  bool timer_armed_ = false;
+  double total_served_ = 0;
+  SimTime busy_time_ = 0;
+};
+
+struct Arrival {
+  SimTime at;
+  double units;
+};
+
+struct FluidScenario {
+  int capacity_kind;  // 0: constant, 1: falls with n (link contention), 2: CPU pool
+  double rate;
+  double per_flow_cap;
+  std::vector<Arrival> arrivals;
+};
+
+// Arrivals come in same-instant bursts of 1 to 128 flows (most small, some
+// the size of a pset), separated by gaps from 0 ns up to well past a typical
+// service time, so flows join both bursts and a resource mid-service. Units
+// mix zero, sub-epsilon, repeated (simultaneous completions) and arbitrary
+// values.
+FluidScenario random_fluid_scenario(Rng& rng) {
+  FluidScenario sc;
+  sc.capacity_kind = static_cast<int>(rng.below(3));
+  sc.rate = 0.05 + 4.0 * rng.uniform01();
+  sc.per_flow_cap =
+      rng.below(2) == 0 ? std::numeric_limits<double>::infinity() : 0.01 + rng.uniform01();
+  SimTime t = 0;
+  std::vector<double> seen;
+  const int bursts = 8 + static_cast<int>(rng.below(40));
+  for (int b = 0; b < bursts; ++b) {
+    const std::uint64_t r = rng.below(10);
+    const int size = r < 6 ? 1 + static_cast<int>(rng.below(8))
+                     : r < 9 ? 1 + static_cast<int>(rng.below(48))
+                             : 64 + static_cast<int>(rng.below(65));
+    for (int i = 0; i < size; ++i) {
+      const std::uint64_t u = rng.below(100);
+      double units;
+      if (u < 5) {
+        units = 0;
+      } else if (u < 10) {
+        units = 1e-6 * rng.uniform01();
+      } else if (u < 25 && !seen.empty()) {
+        units = seen[rng.below(seen.size())];
+      } else if (u < 60) {
+        units = static_cast<double>(1 + rng.below(1 << 20));
+      } else {
+        units = 1e5 * rng.uniform01();
+      }
+      seen.push_back(units);
+      sc.arrivals.push_back(Arrival{t, units});
+    }
+    const std::uint64_t g = rng.below(4);
+    t += g == 0 ? 0 : static_cast<SimTime>(rng.below(g == 1 ? 100 : g == 2 ? 100'000 : 10'000'000));
+  }
+  return sc;
+}
+
+FluidResource::CapacityFn scenario_capacity(const FluidScenario& sc) {
+  switch (sc.capacity_kind) {
+    case 1:
+      return [rate = sc.rate](int n) { return n <= 4 ? rate : rate / (1.0 + 0.02 * (n - 4)); };
+    case 2:
+      return [](int n) {
+        const int on_core = std::min(n, 4);
+        double cap = on_core / (1.0 + 0.05 * (on_core - 1));
+        if (n > 4) cap /= 1.0 + 0.1 * (n - 4) / (1.0 + (n - 4) / 8.0);
+        return cap;
+      };
+    default:
+      return [rate = sc.rate](int) { return rate; };
+  }
+}
+
+struct Completion {
+  int flow;
+  SimTime at;
+  bool operator==(const Completion&) const = default;
+};
+
+struct FluidRun {
+  std::vector<Completion> done;
+  double served = 0;
+  SimTime busy = 0;
+  std::uint64_t events = 0;
+  int peak_active = 0;
+};
+
+template <typename Resource>
+Proc<void> arrive(Engine& eng, Resource& r, Arrival a, int flow, FluidRun& out) {
+  co_await Delay{eng, a.at};
+  out.peak_active = std::max(out.peak_active, r.active() + 1);
+  co_await r.consume(a.units);
+  out.done.push_back(Completion{flow, eng.now()});
+}
+
+template <typename Resource>
+FluidRun run_fluid(const FluidScenario& sc) {
+  Engine eng;
+  FluidRun out;
+  // A CPU pool caps each task at one core, as CpuPool does.
+  Resource r(eng, scenario_capacity(sc), "r", sc.capacity_kind == 2 ? 1.0 : sc.per_flow_cap);
+  for (std::size_t i = 0; i < sc.arrivals.size(); ++i) {
+    eng.spawn(arrive(eng, r, sc.arrivals[i], static_cast<int>(i), out));
+  }
+  eng.run();
+  out.served = r.total_served();
+  out.busy = r.busy_time();
+  out.events = eng.events_processed();
+  return out;
+}
+
+TEST(FluidModel, RandomStreamsMatchFullScanReference) {
+  const std::uint64_t seed = testsupport::test_seed("fluid_model", 0xf1d0ull);
+  Rng salt(seed);
+  int peak = 0;
+  std::size_t ties = 0;
+  for (int round = 0; round < 40; ++round) {
+    Rng rng(salt.next());
+    const FluidScenario sc = random_fluid_scenario(rng);
+    const FluidRun want = run_fluid<ScanFluid>(sc);
+    const FluidRun got = run_fluid<FluidResource>(sc);
+    ASSERT_EQ(want.done.size(), sc.arrivals.size());
+    std::ostringstream where;
+    where << "round " << round << ", replay: IOFWD_TEST_SEED=0x" << std::hex << seed;
+    ASSERT_EQ(got.done.size(), want.done.size()) << where.str();
+    for (std::size_t i = 0; i < want.done.size(); ++i) {
+      ASSERT_EQ(got.done[i], want.done[i])
+          << where.str() << ": completion #" << i << " is flow " << got.done[i].flow << " at "
+          << got.done[i].at << ", reference flow " << want.done[i].flow << " at "
+          << want.done[i].at;
+    }
+    EXPECT_EQ(got.served, want.served) << where.str();
+    EXPECT_EQ(got.busy, want.busy) << where.str();
+    EXPECT_EQ(got.events, want.events) << where.str();
+    peak = std::max(peak, got.peak_active);
+    for (std::size_t i = 1; i < got.done.size(); ++i) ties += got.done[i].at == got.done[i - 1].at;
+  }
+  // The streams must reach pset-sized bursts and simultaneous completions.
+  EXPECT_GE(peak, 100);
+  EXPECT_GT(ties, 0u);
+}
 
 }  // namespace
 }  // namespace iofwd::sim

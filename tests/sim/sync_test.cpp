@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "sim/fluid.hpp"
 
 namespace iofwd::sim {
 namespace {
@@ -315,6 +319,105 @@ TEST(WhenAll, BinaryOverload) {
   eng.spawn(join_pair(eng, done_at));
   eng.run();
   EXPECT_EQ(done_at, 7);
+}
+
+// Three-leg overload: a leg records its index when it starts and when it
+// ends, so the log shows the start order and that the parent resumed once,
+// after the last leg.
+Proc<void> logged_leg(Engine& eng, SimTime d, int leg, std::vector<std::string>& log) {
+  log.push_back("start " + std::to_string(leg));
+  co_await Delay{eng, d};
+  log.push_back("end " + std::to_string(leg) + " @" + std::to_string(eng.now()));
+}
+
+Proc<void> join_three_legs(Engine& eng, std::vector<std::string>& log) {
+  co_await when_all(eng, logged_leg(eng, 10, 0, log), logged_leg(eng, 30, 1, log),
+                    logged_leg(eng, 20, 2, log));
+  log.push_back("parent @" + std::to_string(eng.now()));
+}
+
+TEST(WhenAll, ThreeLegOverloadStartsLegsInOrderAndResumesOnceAfterTheLast) {
+  Engine eng;
+  std::vector<std::string> log;
+  eng.spawn(join_three_legs(eng, log));
+  eng.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"start 0", "start 1", "start 2", "end 0 @10",
+                                           "end 2 @20", "end 1 @30", "parent @30"}));
+  // The parent's spawn, three leg spawns, three delays and one wake-up.
+  EXPECT_EQ(eng.events_processed(), 8u);
+}
+
+Proc<void> join_three_with_failure(Engine& eng, std::vector<std::string>& log) {
+  try {
+    co_await when_all(eng, logged_leg(eng, 50, 0, log), throws_after(eng, 10),
+                      logged_leg(eng, 30, 2, log));
+  } catch (const std::runtime_error&) {
+    log.push_back("caught @" + std::to_string(eng.now()));
+  }
+}
+
+TEST(WhenAll, ThreeLegOverloadRethrowsAfterAllLegsFinish) {
+  Engine eng;
+  std::vector<std::string> log;
+  eng.spawn(join_three_with_failure(eng, log));
+  eng.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"start 0", "start 2", "end 2 @30", "end 0 @50",
+                                           "caught @50"}));
+}
+
+// The fixed-arity overloads must schedule exactly the events the vector
+// overload does: legs that contend on a shared fluid resource (so their
+// interleaving decides their completion times) give the same event count and
+// the same start and completion log either way. A start is logged as -1 - leg.
+Proc<void> fluid_leg(Engine& eng, FluidResource& r, SimTime d, double units, int leg,
+                     std::vector<std::pair<int, SimTime>>& done) {
+  done.emplace_back(-1 - leg, eng.now());
+  co_await Delay{eng, d};
+  co_await r.consume(units);
+  done.emplace_back(leg, eng.now());
+}
+
+Proc<void> fan_out(Engine& eng, FluidResource& r, int arity, bool vector_form, int op,
+                   std::vector<std::pair<int, SimTime>>& done) {
+  const int base = 10 * op;
+  auto leg = [&](int i) {
+    return fluid_leg(eng, r, (op * 7 + i * 3) % 5, 100.0 + 37.0 * ((op + i) % 4), base + i, done);
+  };
+  if (vector_form) {
+    std::vector<Proc<void>> legs;
+    for (int i = 0; i < arity; ++i) legs.push_back(leg(i));
+    co_await when_all(eng, std::move(legs));
+  } else if (arity == 2) {
+    co_await when_all(eng, leg(0), leg(1));
+  } else {
+    co_await when_all(eng, leg(0), leg(1), leg(2));
+  }
+  done.emplace_back(base + 9, eng.now());
+}
+
+struct FanOutRun {
+  std::vector<std::pair<int, SimTime>> done;
+  std::uint64_t events = 0;
+};
+
+FanOutRun run_fan_outs(int arity, bool vector_form) {
+  Engine eng;
+  FluidResource r(eng, [](int n) { return 3.0 / (1.0 + 0.1 * n); }, "r");
+  FanOutRun out;
+  for (int op = 0; op < 12; ++op) eng.spawn(fan_out(eng, r, arity, vector_form, op, out.done));
+  eng.run();
+  out.events = eng.events_processed();
+  return out;
+}
+
+TEST(WhenAll, FixedArityOverloadsMatchTheVectorOverload) {
+  for (int arity : {2, 3}) {
+    const FanOutRun want = run_fan_outs(arity, /*vector_form=*/true);
+    const FanOutRun got = run_fan_outs(arity, /*vector_form=*/false);
+    EXPECT_EQ(got.events, want.events) << arity << " legs";
+    EXPECT_EQ(got.done, want.done) << arity << " legs";
+    EXPECT_EQ(want.done.size(), 12u * static_cast<std::size_t>(2 * arity + 1));
+  }
 }
 
 }  // namespace

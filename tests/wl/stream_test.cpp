@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <iomanip>
 
 namespace iofwd::wl {
@@ -123,6 +124,37 @@ TEST(Stream, GoldenFig9TrajectoryIsBitExact) {
     EXPECT_EQ(r.sim_events, g.events) << proto::to_string(g.mech);
     EXPECT_EQ(r.throughput_mib_s, g.mib_s)
         << proto::to_string(g.mech) << ": " << std::setprecision(17) << r.throughput_mib_s;
+  }
+}
+
+// The benchmark's sim_ladder point (the full Fig. 9 run: 64 CNs, 1 MiB,
+// 4 workers, 100 iterations) with the event counts and throughputs its
+// kSimExpect table (fwdbench/workloads.cpp) checks, to the same 1e-9
+// relative tolerance. A drift in the simulator's trajectory fails here, not
+// only in a benchmark run; a deliberate model change updates both tables.
+TEST(Stream, SimLadderPointMatchesBenchmarkExpectations) {
+  struct Expect {
+    proto::Mechanism mech;
+    std::uint64_t events;
+    double mib_s;
+  };
+  const Expect expect[] = {
+      {proto::Mechanism::ciod, 559966, 385.4266126681573},
+      {proto::Mechanism::zoid, 533966, 425.70642056010888},
+      {proto::Mechanism::zoid_sched, 772999, 621.08279966770317},
+      {proto::Mechanism::zoid_sched_async, 673115, 613.07903534804063},
+  };
+  proto::ForwarderConfig fc;
+  fc.workers = 4;
+  StreamParams p;
+  p.cns_per_pset = 64;
+  p.message_bytes = 1_MiB;
+  p.iterations = 100;
+  for (const Expect& e : expect) {
+    const auto r = run_stream(e.mech, bgp::MachineConfig::intrepid(), fc, p);
+    EXPECT_EQ(r.sim_events, e.events) << proto::to_string(e.mech);
+    EXPECT_LE(std::abs(r.throughput_mib_s - e.mib_s), 1e-9 * std::abs(e.mib_s))
+        << proto::to_string(e.mech) << ": " << std::setprecision(17) << r.throughput_mib_s;
   }
 }
 
