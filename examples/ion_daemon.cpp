@@ -5,8 +5,7 @@
 //                  [recv_lanes=0] [root=/tmp/iofwd_data] [bml_mib=256] [bb_mib=0]
 //                  [shards=1] [cluster_bb_mib=0]
 //                  [aggregate_kib=0] [downsample=0] [rle=0]
-//                  [retry=0] [bml_wait_ms=100] [degraded_high=0]
-//                  [degraded_low=0] [bb_stall_ms=100]
+//                  [retry=0] [stall_ms=100] [degraded_depth=0]
 //                  [sched=fifo] [sched_quantum_kib=256]
 //                  [qos_bytes_per_sec=0] [qos_ops_per_sec=0]
 //                  [qos_burst_bytes=0] [qos_burst_ops=0]
@@ -36,10 +35,10 @@
 //
 // Resilience knobs (DESIGN.md §10):
 // retry=N           wrap the backend in fault::RetryingBackend, N attempts
-// bml_wait_ms=N     bounded BML wait before degraded pass-through (0=block)
-// degraded_high=N   queue depth that switches async staging to synchronous
-// degraded_low=N    queue depth that switches back (hysteresis)
-// bb_stall_ms=N     burst-buffer stall bound before write-through (0=block)
+// stall_ms=N        bounded wait for staging space (BML lease or burst-buffer
+//                   room) before pass-through/write-through (0=block)
+// degraded_depth=N  queue depth that switches async staging to synchronous;
+//                   it switches back at N/4 (0 = never)
 //
 // Scheduling / QoS knobs (DESIGN.md §17):
 // sched=P           work-queue dispatch policy: fifo (default), prio
@@ -169,10 +168,8 @@ int main(int argc, char** argv) {
   }
   cfg.bb_journal_dir = args.get("bb_journal", "");
   cfg.bb_journal_fsync = args.get_int("bb_journal_fsync", 0) != 0;
-  cfg.bml_wait_ms = static_cast<std::uint32_t>(args.get_int("bml_wait_ms", 100));
-  cfg.bb_max_stall_ms = static_cast<std::uint32_t>(args.get_int("bb_stall_ms", 100));
-  cfg.degraded_high_watermark = args.get_u64("degraded_high", 0);
-  cfg.degraded_low_watermark = args.get_u64("degraded_low", 0);
+  cfg.stall_ms = static_cast<std::uint32_t>(args.get_int("stall_ms", 100));
+  cfg.degraded_queue_depth = args.get_u64("degraded_depth", 0);
   const std::string sched = args.get("sched", "fifo");
   if (auto pol = rt::parse_sched_policy(sched)) {
     cfg.sched = *pol;

@@ -167,7 +167,7 @@ DiagTable resilience_table(const ResilienceDiag& d) {
   t.add("deadline expired", static_cast<double>(d.deadline_expired),
         "ops bounced with timed_out, unexecuted");
   t.add("bml timeouts", static_cast<double>(d.bml_timeouts),
-        "pool waits past bml_wait_ms");
+        "pool waits past stall_ms");
   t.add("degraded pass-through", static_cast<double>(d.degraded_passthrough),
         "writes served without a BML lease");
   t.add("degraded sync writes", static_cast<double>(d.degraded_sync_writes),

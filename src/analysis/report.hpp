@@ -108,10 +108,10 @@ struct ResilienceDiag {
   std::uint64_t backoff_ns = 0;       // time spent sleeping between attempts
   // Server-side (server.* and bb.degraded_writes).
   std::uint64_t deadline_expired = 0;     // ops bounced past their deadline
-  std::uint64_t bml_timeouts = 0;         // pool waits past bml_wait_ms
+  std::uint64_t bml_timeouts = 0;         // pool waits past stall_ms
   std::uint64_t degraded_passthrough = 0; // writes served without a BML lease
   std::uint64_t degraded_sync_writes = 0; // staged writes forced synchronous
-  std::uint64_t degraded_enters = 0;      // high-watermark crossings
+  std::uint64_t degraded_enters = 0;      // degraded_queue_depth crossings
   std::uint64_t degraded_ns = 0;          // time spent in degraded mode
   std::uint64_t bb_degraded_writes = 0;   // bb stalls that fell back to write-through
   // Client-side (rt::ClientStats).

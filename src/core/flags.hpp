@@ -8,7 +8,7 @@
 //   --flag         bare boolean, reads as "1" (--quick)
 //   anything else  a positional operand (socket path), in order
 //
-// Key lookup normalizes '-' to '_' so `--bml-wait-ms` and `bml_wait_ms=`
+// Key lookup normalizes '-' to '_' so `--stall-ms` and `stall_ms=`
 // are the same knob. When a knob was not given on the command line, the
 // environment variable `IOFWD_<UPPERCASED_KEY>` is consulted before the
 // default — the paper notes the worker count "can be controlled via an

@@ -144,7 +144,7 @@ IonServer::IonServer(std::unique_ptr<IoBackend> backend, ServerConfig cfg)
     bcfg.high_watermark = cfg_.bb_high_watermark;
     bcfg.low_watermark = cfg_.bb_low_watermark;
     bcfg.flushers = cfg_.bb_flushers;
-    bcfg.max_stall_ms = cfg_.bb_max_stall_ms;
+    bcfg.max_stall_ms = cfg_.stall_ms;
     bcfg.registry = reg_;  // one namespace: "server.*" + "bb.*"
     bcfg.cluster_budget = cfg_.bb_cluster_budget;
     bcfg.journal_dir = cfg_.bb_journal_dir;
@@ -386,6 +386,12 @@ void IonServer::observe_op(const FrameHeader& req,
   }
 }
 
+void IonServer::finish_op(ClientConn& conn, const FrameHeader& req,
+                          std::chrono::steady_clock::time_point arrival, const Status& st) {
+  observe_op(req, arrival, st);
+  enqueue_reply(conn, req, st);
+}
+
 SchedMeta IonServer::sched_meta(const ClientConn& conn, const FrameHeader& req,
                                 std::chrono::steady_clock::time_point arrival) {
   SchedMeta m;
@@ -404,16 +410,16 @@ bool IonServer::past_deadline(const FrameHeader& req,
 }
 
 bool IonServer::degraded_now(std::size_t queue_depth) {
-  if (cfg_.degraded_high_watermark == 0) return false;
+  if (cfg_.degraded_queue_depth == 0) return false;
   const auto now = std::chrono::steady_clock::now();
   std::scoped_lock lock(degraded_mu_);
   if (!degraded_mode_) {
-    if (queue_depth >= cfg_.degraded_high_watermark) {
+    if (queue_depth >= cfg_.degraded_queue_depth) {
       degraded_mode_ = true;
       degraded_since_ = now;
       c_degraded_enters_.inc();
     }
-  } else if (queue_depth <= cfg_.degraded_low_watermark) {
+  } else if (queue_depth <= cfg_.degraded_queue_depth / 4) {
     degraded_mode_ = false;
     c_degraded_ns_.add(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(now - degraded_since_).count()));
@@ -600,14 +606,13 @@ Result<FrameAssembler::Sink> IonServer::on_header(
     case OpCode::write: {
       // Staging space comes from the BML pool under a bounded wait, chosen
       // before the payload bytes are consumed (same ordering as the old
-      // blocking receiver, so backpressure semantics are unchanged):
-      // exhaustion degrades to a BML-less synchronous pass-through instead
-      // of blocking the lane forever.
+      // blocking receiver, so backpressure semantics are unchanged). The
+      // lease outcome is admit()'s input at frame completion: a timed-out
+      // lease receives into plain heap memory and passes through.
       auto buf = pool_.try_acquire(req.payload_len);
       if (!buf.is_ok() && buf.code() == Errc::would_block) {
-        buf = cfg_.bml_wait_ms > 0
-                  ? pool_.acquire_for(req.payload_len,
-                                      std::chrono::milliseconds(cfg_.bml_wait_ms))
+        buf = cfg_.stall_ms > 0
+                  ? pool_.acquire_for(req.payload_len, std::chrono::milliseconds(cfg_.stall_ms))
                   : pool_.acquire(req.payload_len);
       }
       if (buf.is_ok()) {
@@ -615,10 +620,7 @@ Result<FrameAssembler::Sink> IonServer::on_header(
         rx.bml = std::move(buf).value();
         sink = {req.payload_len, rx.bml.data()};
       } else if (buf.code() == Errc::timed_out) {
-        // Degraded mode: receive into plain heap memory and execute inline,
-        // synchronously — slower, but bounded and correct.
         rx.staging = RxPending::Staging::heap;
-        rx.degraded = true;
         rx.heap.resize(req.payload_len);
         sink = {req.payload_len, rx.heap.data()};
       } else {
@@ -918,9 +920,7 @@ void IonServer::handle_open(ClientConn& conn, const FrameHeader& req,
     c_payload_crc_errors_.inc();
     if (fr_) fr_->record("payload_crc_error", req.fd, req.payload_len, 0,
                          static_cast<int>(Errc::checksum_error));
-    const Status st(Errc::checksum_error, "open path crc mismatch");
-    observe_op(req, arrival, st);
-    enqueue_reply(conn, req, st);
+    finish_op(conn, req, arrival, Status(Errc::checksum_error, "open path crc mismatch"));
     return;
   }
   std::string path;
@@ -941,8 +941,7 @@ void IonServer::handle_open(ClientConn& conn, const FrameHeader& req,
       (void)db_.close_descriptor(req.fd);
     }
   }
-  observe_op(req, arrival, st);
-  enqueue_reply(conn, req, st);
+  finish_op(conn, req, arrival, st);
 }
 
 void IonServer::handle_close(ClientConn& conn, const FrameHeader& req,
@@ -961,9 +960,7 @@ void IonServer::handle_close(ClientConn& conn, const FrameHeader& req,
     c_deferred_errors_.inc();
   }
   Status be = backend_->close(req.fd);
-  const Status final_st = deferred.is_ok() ? be : deferred;
-  observe_op(req, arrival, final_st);
-  enqueue_reply(conn, req, final_st);
+  finish_op(conn, req, arrival, deferred.is_ok() ? be : deferred);
 }
 
 void IonServer::handle_fsync(ClientConn& conn, const FrameHeader& req,
@@ -972,21 +969,16 @@ void IonServer::handle_fsync(ClientConn& conn, const FrameHeader& req,
   if (tracer_ != nullptr) sp.emplace(tracer_->span(opcode_name(req.op), "op", kInlineLane));
   drain_descriptor(req.fd);
   if (Status deferred = consume_deferred(req.fd); !deferred.is_ok()) {
-    observe_op(req, arrival, deferred);
-    enqueue_reply(conn, req, deferred);
+    finish_op(conn, req, arrival, deferred);
     return;
   }
   if (past_deadline(req, arrival)) {
     // The drain barrier outlived the op's budget: bounce without executing.
     c_deadline_expired_.inc();
-    const Status st(Errc::timed_out, "deadline expired in drain");
-    observe_op(req, arrival, st);
-    enqueue_reply(conn, req, st);
+    finish_op(conn, req, arrival, Status(Errc::timed_out, "deadline expired in drain"));
     return;
   }
-  const Status st = backend_->fsync(req.fd);
-  observe_op(req, arrival, st);
-  enqueue_reply(conn, req, st);
+  finish_op(conn, req, arrival, backend_->fsync(req.fd));
 }
 
 void IonServer::handle_fstat(ClientConn& conn, const FrameHeader& req,
@@ -995,21 +987,17 @@ void IonServer::handle_fstat(ClientConn& conn, const FrameHeader& req,
   // writes so the size is accurate, surface deferred errors first.
   drain_descriptor(req.fd);
   if (Status deferred = consume_deferred(req.fd); !deferred.is_ok()) {
-    observe_op(req, arrival, deferred);
-    enqueue_reply(conn, req, deferred);
+    finish_op(conn, req, arrival, deferred);
     return;
   }
   if (past_deadline(req, arrival)) {
     c_deadline_expired_.inc();
-    const Status st(Errc::timed_out, "deadline expired in drain");
-    observe_op(req, arrival, st);
-    enqueue_reply(conn, req, st);
+    finish_op(conn, req, arrival, Status(Errc::timed_out, "deadline expired in drain"));
     return;
   }
   auto sz = backend_->size(req.fd);
   if (!sz.is_ok()) {
-    observe_op(req, arrival, sz.status());
-    enqueue_reply(conn, req, sz.status());
+    finish_op(conn, req, arrival, sz.status());
     return;
   }
   std::byte payload[8];
@@ -1029,8 +1017,7 @@ void IonServer::handle_write(const std::shared_ptr<ClientConn>& conn, RxPending&
   const auto arrival = rx.arrival;
   if (rx.staging == RxPending::Staging::discard) {
     // Oversize request: the assembler already swallowed the payload; bounce.
-    observe_op(req, arrival, rx.bounce);
-    enqueue_reply(*conn, req, rx.bounce);
+    finish_op(*conn, req, arrival, rx.bounce);
     return;
   }
   c_bytes_in_.add(req.payload_len);
@@ -1047,77 +1034,49 @@ void IonServer::handle_write(const std::shared_ptr<ClientConn>& conn, RxPending&
     c_payload_crc_errors_.inc();
     if (fr_) fr_->record("payload_crc_error", req.fd, req.payload_len, 0,
                          static_cast<int>(Errc::checksum_error));
-    const Status st(Errc::checksum_error, "write payload crc mismatch");
-    observe_op(req, arrival, st);
-    enqueue_reply(*conn, req, st);
-    return;
-  }
-
-  if (rx.degraded) {
-    // Degraded pass-through (BML wait expired at header time): execute
-    // inline, synchronously — slower, but bounded and correct.
-    c_bml_timeouts_.inc();
-    c_degraded_passthrough_.inc();
-    if (cfg_.exec == ExecModel::work_queue_async) {
-      if (Status deferred = consume_deferred(req.fd); !deferred.is_ok()) {
-        observe_op(req, arrival, deferred);
-        enqueue_reply(*conn, req, deferred);
-        return;
-      }
-    }
-    std::optional<obs::RuntimeTracer::Span> sp;
-    if (tracer_ != nullptr) sp.emplace(tracer_->span("write (passthrough)", "op", kInlineLane));
-    const Status st = do_write(req, data);
-    observe_op(req, arrival, st);
-    enqueue_reply(*conn, req, st);
+    finish_op(*conn, req, arrival, Status(Errc::checksum_error, "write payload crc mismatch"));
     return;
   }
 
   // Deferred-error gate (async mode): surface the oldest unreported error
-  // instead of executing this operation.
+  // instead of executing this operation. It runs before admit() so a
+  // bounced write debits no tenant tokens and steps no hysteresis.
   if (cfg_.exec == ExecModel::work_queue_async) {
     if (Status deferred = consume_deferred(req.fd); !deferred.is_ok()) {
-      observe_op(req, arrival, deferred);
-      enqueue_reply(*conn, req, deferred);
+      finish_op(*conn, req, arrival, deferred);
       return;
     }
   }
 
-  Task t;
-  t.conn = conn;
-  t.req = req;
-  t.payload = std::move(rx.bml);
-  t.arrival = arrival;
-
   const SchedMeta meta = sched_meta(*conn, req, arrival);
+  const Admission adm = admit(
+      cfg_.exec, rx.staging == RxPending::Staging::bml,
+      [&] { return !qos_ || qos_->admit(meta.tenant, req.payload_len); },
+      [&] { return degraded_now(queue_.size()); });
+  Task t{.conn = conn, .req = req, .payload = std::move(rx.bml), .verdict = adm.verdict,
+         .arrival = arrival};
 
-  // Per-tenant admission (§17): an over-budget write is demoted to sync
-  // staging — same lever as the overload hysteresis below, but keyed to the
-  // ONE tenant that blew its token bucket, so only that tenant self-throttles.
-  bool throttled = qos_ && !qos_->admit(meta.tenant, req.payload_len);
-  if (cfg_.qos_fault_hook && cfg_.qos_fault_hook(meta.tenant, req.payload_len)) {
-    throttled = true;
-  }
-
-  // Overload hysteresis: past the queue-depth high watermark, staged writes
-  // are acknowledged at completion (sync staging) so clients self-throttle.
-  ExecModel exec = cfg_.exec;
-  if (exec == ExecModel::work_queue_async && (throttled || degraded_now(queue_.size()))) {
-    exec = ExecModel::work_queue;
-    c_degraded_sync_writes_.inc();
-  }
-
-  switch (exec) {
-    case ExecModel::thread_per_client:
-      execute_task(t, kInlineLane);  // inline, synchronous
-      break;
-    case ExecModel::work_queue:
-      t.reply_on_completion = true;
+  switch (adm.verdict) {
+    case Verdict::passthrough: {
+      // The BML wait expired at header time: execute inline, synchronously
+      // — slower, but bounded and correct.
+      c_bml_timeouts_.inc();
+      c_degraded_passthrough_.inc();
+      std::optional<obs::RuntimeTracer::Span> sp;
+      if (tracer_ != nullptr) sp.emplace(tracer_->span("write (passthrough)", "op", kInlineLane));
+      finish_op(*conn, req, arrival, do_write(req, t.payload /* no lease */, std::move(rx.heap)));
+      return;
+    }
+    case Verdict::inline_exec:
+      execute_task(t, kInlineLane);
+      return;
+    case Verdict::sync_stage:
+      if (adm.reason != AdmitReason::none) c_degraded_sync_writes_.inc();
       if (!queue_.push(std::move(t), meta)) {
         enqueue_reply(*conn, req, Status(Errc::shutdown, "server stopping"));
       }
       break;
-    case ExecModel::work_queue_async: {
+    case Verdict::async_stage: {
       std::uint64_t seq_val = 0;
       {
         std::scoped_lock lock(db_mu_);
@@ -1129,7 +1088,6 @@ void IonServer::handle_write(const std::shared_ptr<ClientConn>& conn, RxPending&
         seq_val = *seq;
       }
       t.db_seq = seq_val;
-      t.record_in_db = true;
       // Early acknowledgement: the application is unblocked as soon as the
       // payload sits in the BML buffer.
       enqueue_reply(*conn, req, Status::ok(), {}, /*staged=*/true);
@@ -1140,7 +1098,7 @@ void IonServer::handle_write(const std::shared_ptr<ClientConn>& conn, RxPending&
       break;
     }
   }
-  if (tracer_ != nullptr && exec != ExecModel::thread_per_client) {
+  if (tracer_ != nullptr) {
     tracer_->counter("queue_depth", static_cast<double>(queue_.size()));
     tracer_->counter("bml_in_use", static_cast<double>(pool_.in_use()));
   }
@@ -1152,15 +1110,13 @@ void IonServer::handle_read(const std::shared_ptr<ClientConn>& conn, const Frame
     // Read barrier: in-flight writes on this descriptor land first.
     drain_descriptor(req.fd);
     if (Status deferred = consume_deferred(req.fd); !deferred.is_ok()) {
-      observe_op(req, arrival, deferred);
-      enqueue_reply(*conn, req, deferred);
+      finish_op(*conn, req, arrival, deferred);
       return;
     }
   }
   Task t;
   t.conn = conn;
   t.req = req;
-  t.reply_on_completion = true;
   t.arrival = arrival;
   const SchedMeta meta = sched_meta(*conn, req, arrival);
   if (cfg_.exec == ExecModel::thread_per_client) {
@@ -1191,20 +1147,29 @@ void IonServer::worker_loop(int lane) {
   }
 }
 
-Status IonServer::do_write(const FrameHeader& req, std::span<const std::byte> data) {
-  if (!filters_.empty()) {
-    // Data-filtering offload: transform on the ION's otherwise idle cycles,
-    // then write the (possibly reduced) payload at the mapped offset.
-    std::vector<std::byte> transformed(data.begin(), data.end());
-    const std::uint64_t before = transformed.size();
-    Status st = filters_.apply(req.fd, req.offset, transformed);
-    if (!st.is_ok()) return st;
-    c_filter_bytes_in_.add(before);
-    c_filter_bytes_out_.add(transformed.size());
-    auto r = backend_->write(req.fd, filters_.map_offset(req.offset), transformed);
+Status IonServer::do_write(const FrameHeader& req, Buffer& lease, std::vector<std::byte> heap) {
+  if (filters_.empty()) {
+    const std::span<const std::byte> data =
+        lease.valid() ? std::span<const std::byte>(lease.data(), req.payload_len)
+                      : std::span<const std::byte>(heap);
+    auto r = backend_->write(req.fd, req.offset, data);
+    lease.release();  // back to the BML pool as early as possible
     return r.is_ok() ? Status::ok() : r.status();
   }
-  auto r = backend_->write(req.fd, req.offset, data);
+  // Data-filtering offload: transform on the ION's otherwise idle cycles,
+  // then write the (possibly reduced) payload at the mapped offset. The
+  // chain transforms in place, so a leased payload moves out of BML once
+  // and the lease goes back to the pool before the backend write.
+  if (lease.valid()) {
+    heap.assign(lease.data(), lease.data() + req.payload_len);
+    lease.release();
+  }
+  const std::uint64_t before = heap.size();
+  Status st = filters_.apply(req.fd, req.offset, heap);
+  if (!st.is_ok()) return st;
+  c_filter_bytes_in_.add(before);
+  c_filter_bytes_out_.add(heap.size());
+  auto r = backend_->write(req.fd, filters_.map_offset(req.offset), heap);
   return r.is_ok() ? Status::ok() : r.status();
 }
 
@@ -1222,29 +1187,19 @@ void IonServer::execute_task(Task& t, int lane) {
     // barriers, so recording first keeps op metrics and flight-recorder
     // entries ordered before anything the barrier unblocks.
     observe_op(t.req, t.arrival, st);
-    if (t.record_in_db) note_completed(t.req.fd, t.db_seq, st);
-    if (t.reply_on_completion || cfg_.exec == ExecModel::thread_per_client) {
+    if (t.verdict == Verdict::async_stage) {
+      note_completed(t.req.fd, t.db_seq, st);
+    } else {
       enqueue_reply(*t.conn, t.req, st);
     }
     return;
   }
   if (t.req.op == OpCode::write) {
-    Status st;
-    if (!filters_.empty()) {
-      // The filter path copies out of BML anyway; release the lease early.
-      std::vector<std::byte> data(t.payload.data(), t.payload.data() + t.req.payload_len);
-      t.payload.release();
-      st = do_write(t.req, data);
-    } else {
-      st = do_write(t.req,
-                    std::span<const std::byte>(t.payload.data(), t.req.payload_len));
-      t.payload.release();  // back to the BML pool as early as possible
-    }
+    const Status st = do_write(t.req, t.payload, {});
     observe_op(t.req, t.arrival, st);  // before note_completed — see above
-    if (t.record_in_db) {
+    if (t.verdict == Verdict::async_stage) {
       note_completed(t.req.fd, t.db_seq, st);
-    }
-    if (t.reply_on_completion || cfg_.exec == ExecModel::thread_per_client) {
+    } else {
       enqueue_reply(*t.conn, t.req, st);
     }
     return;
@@ -1266,16 +1221,14 @@ void IonServer::execute_task(Task& t, int lane) {
   }
   auto buf = pool_.acquire(t.req.payload_len);
   if (!buf.is_ok()) {
-    observe_op(t.req, t.arrival, buf.status());
-    enqueue_reply(*t.conn, t.req, buf.status());
+    finish_op(*t.conn, t.req, t.arrival, buf.status());
     return;
   }
   Buffer out = std::move(buf).value();
   auto r = backend_->read(t.req.fd, t.req.offset,
                           std::span<std::byte>(out.data(), t.req.payload_len));
   if (!r.is_ok()) {
-    observe_op(t.req, t.arrival, r.status());
-    enqueue_reply(*t.conn, t.req, r.status());
+    finish_op(*t.conn, t.req, t.arrival, r.status());
     return;
   }
   observe_op(t.req, t.arrival, Status::ok());

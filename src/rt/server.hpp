@@ -39,12 +39,11 @@
 #include <thread>
 #include <vector>
 
-#include <functional>
-
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "proto/descriptor_db.hpp"
+#include "rt/admission.hpp"
 #include "rt/backend.hpp"
 #include "rt/event_loop.hpp"
 #include "rt/filter.hpp"
@@ -65,10 +64,6 @@ class ClusterBbBudget;
 }  // namespace iofwd::cluster
 
 namespace iofwd::rt {
-
-enum class ExecModel { thread_per_client, work_queue, work_queue_async };
-
-[[nodiscard]] const char* to_string(ExecModel m);
 
 struct ServerConfig {
   ExecModel exec = ExecModel::work_queue_async;
@@ -104,18 +99,15 @@ struct ServerConfig {
   // recoverable with zero acked-data loss. Empty = no journal.
   std::string bb_journal_dir;
   bool bb_journal_fsync = false;  // fdatasync per append (host-crash durability)
-  // Graceful degradation (DESIGN.md §10). A writer that cannot lease BML
-  // staging space within bml_wait_ms falls back to synchronous pass-through
-  // execution on the receiver thread instead of blocking forever (0 = wait
-  // forever, the pre-resilience behavior). A burst-buffer writer stalled
-  // longer than bb_max_stall_ms bypasses the cache the same way.
-  std::uint32_t bml_wait_ms = 100;
-  std::uint32_t bb_max_stall_ms = 100;
+  // Graceful degradation (DESIGN.md §10, decided by rt::admit()). A writer
+  // waits at most stall_ms for staging space — a BML lease, or room in the
+  // burst buffer — then passes through inline or writes through to the
+  // inner backend (0 = wait forever, the pre-resilience behavior).
+  std::uint32_t stall_ms = 100;
   // Async staging switches to synchronous staging when the task-queue depth
-  // reaches degraded_high_watermark and back once it falls to
-  // degraded_low_watermark (0 = never degrade).
-  std::uint64_t degraded_high_watermark = 0;
-  std::uint64_t degraded_low_watermark = 0;
+  // reaches degraded_queue_depth and back once it falls to a quarter of it
+  // (0 = never degrade).
+  std::uint64_t degraded_queue_depth = 0;
   // Work-queue dispatch policy (DESIGN.md §17): fifo (the paper's order,
   // default), prio (header priority classes), edf (earliest deadline_ms
   // first), fair (deficit round-robin on bytes across tenants). FIFO is
@@ -123,15 +115,12 @@ struct ServerConfig {
   SchedPolicy sched = SchedPolicy::fifo;
   std::uint64_t sched_quantum_bytes = kDefaultDrrQuantum;  // fair policy only
   // Per-tenant admission control (DESIGN.md §17): token buckets on bytes and
-  // ops per tenant. A data op that exceeds its tenant's budget is not
+  // ops per tenant. An async write that exceeds its tenant's budget is not
   // rejected — it is demoted to synchronous staging exactly like the
   // queue-depth hysteresis, so the hot tenant absorbs its own backpressure.
-  // Both rates zero = QoS off.
+  // Other exec models have nothing to demote and are not metered. Both
+  // rates zero = QoS off.
   QosConfig qos;
-  // Fault hook consulted per admission decision (tenant, payload bytes);
-  // returning true forces a throttle. Lets a fault::FaultPlan drive QoS
-  // chaos without rt depending on the fault library (which depends on rt).
-  std::function<bool(std::uint64_t, std::uint64_t)> qos_fault_hook;
   // Observability (src/obs/, DESIGN.md §11). Every server counter lives in
   // an obs::MetricRegistry under the "server." prefix, read through
   // IonServer::metrics(). A null registry means the server creates a private
@@ -231,9 +220,8 @@ class IonServer {
     std::chrono::steady_clock::time_point arrival{};
     Staging staging = Staging::none;
     Buffer bml;                    // staged write payload (BML lease)
-    std::vector<std::byte> heap;   // open path / degraded pass-through payload
+    std::vector<std::byte> heap;   // open path / pass-through write payload
     Status bounce;                 // discard: replied once the bytes are consumed
-    bool degraded = false;         // heap staging came from a BML timeout
   };
 
   // One queued reply awaiting transmission: an encoded header plus a view of
@@ -296,8 +284,9 @@ class IonServer {
     std::shared_ptr<ClientConn> conn;
     FrameHeader req;
     Buffer payload;            // staged write data (owned)
-    bool reply_on_completion = false;  // sync staging
-    bool record_in_db = false;         // async staging
+    // async_stage: the staged ack went out at enqueue, so completion lands
+    // in the descriptor db (at db_seq) instead of a reply.
+    Verdict verdict = Verdict::sync_stage;
     std::uint64_t db_seq = 0;
     // Arrival time at the server; the req.deadline_ms budget counts from
     // here while the task waits in the queue.
@@ -326,12 +315,14 @@ class IonServer {
 
   void worker_loop(int lane);
   void execute_task(Task& t, int lane);
-  // Apply the filter chain (if any) and issue the backend write.
-  Status do_write(const FrameHeader& req, std::span<const std::byte> data);
+  // Apply the filter chain (if any) and issue the backend write of `lease`,
+  // or of `heap` when there is no lease. The lease is released on return.
+  Status do_write(const FrameHeader& req, Buffer& lease, std::vector<std::byte> heap);
   // True if the op's deadline budget has run out (deadline_ms > 0 only).
   [[nodiscard]] static bool past_deadline(const FrameHeader& req,
                                           std::chrono::steady_clock::time_point arrival);
-  // Queue-depth hysteresis: decides (and accounts) sync-staging degradation.
+  // Queue-depth hysteresis (admit()'s depth probe): steps and accounts the
+  // sync-staging mode.
   bool degraded_now(std::size_t queue_depth);
   // Scheduling metadata for a queued data op (DESIGN.md §17).
   [[nodiscard]] static SchedMeta sched_meta(const ClientConn& conn, const FrameHeader& req,
@@ -344,6 +335,9 @@ class IonServer {
   // Completed-op bookkeeping: latency histogram (write/read) + flight ring.
   void observe_op(const FrameHeader& req, std::chrono::steady_clock::time_point arrival,
                   const Status& st);
+  // observe_op, then a payload-less reply carrying the op's status.
+  void finish_op(ClientConn& conn, const FrameHeader& req,
+                 std::chrono::steady_clock::time_point arrival, const Status& st);
 
   // Inline op handlers (lane or blocking-receiver thread). Payload-carrying
   // ops receive their fully assembled payload; the others run at frame

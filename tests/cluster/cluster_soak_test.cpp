@@ -65,8 +65,7 @@ TEST_P(ClusterSoak, CrossShardReadYourWritesWithPerShardAccounting) {
   o.server.workers = 2;
   o.server.bml_bytes = 16_MiB;
   o.server.bb_bytes = 2_MiB;
-  o.server.bml_wait_ms = 50;
-  o.server.bb_max_stall_ms = 50;
+  o.server.stall_ms = 50;
   o.clients = 0;
   TestCluster tc(o);
 

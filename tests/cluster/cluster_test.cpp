@@ -180,7 +180,7 @@ TEST(Cluster, GlobalBudgetCapsAggregateStagingAcrossShards) {
   ClusterOptions o;
   o.shards = 2;
   o.server.bb_bytes = 4_MiB;
-  o.server.bb_max_stall_ms = 5;  // denied writers fall through fast
+  o.server.stall_ms = 5;  // denied writers fall through fast
   o.cluster_bb_bytes = 100 * 1024;
   o.cluster_bb_high_watermark = 1.0;  // no pressure-flushing: pure admission
   TestCluster tc(o);

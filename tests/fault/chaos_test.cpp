@@ -44,10 +44,8 @@ TEST(Chaos, SeededFaultStormLeavesServerHealthy) {
   o.server.workers = 4;
   o.server.bml_bytes = 8_MiB;
   o.server.bb_bytes = 4_MiB;
-  o.server.bml_wait_ms = 50;
-  o.server.bb_max_stall_ms = 50;
-  o.server.degraded_high_watermark = 32;
-  o.server.degraded_low_watermark = 8;
+  o.server.stall_ms = 50;
+  o.server.degraded_queue_depth = 32;
   o.backend_plan = backend_plan;
   o.retry = &rp;
   o.clients = 0;  // every client below has bespoke fault wiring

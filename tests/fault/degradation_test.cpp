@@ -1,6 +1,7 @@
-// Graceful degradation: bounded BML waits that fall back to pass-through
-// execution, burst-buffer stall bounds that fall back to write-through, and
-// the queue-depth hysteresis that switches async staging to sync staging.
+// Graceful degradation: one stall bound on the wait for staging space — a
+// BML lease falls back to pass-through execution, a full burst buffer to
+// write-through — and the queue-depth hysteresis that switches async staging
+// to sync staging.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -25,12 +26,12 @@ using testsupport::pattern;
 TEST(Degradation, BmlExhaustionFallsBackToPassThrough) {
   // The pool holds exactly one 64 KiB buffer. The first write leases it and
   // then sits in a 400ms-slow backend write; the second write cannot lease
-  // within bml_wait_ms and must execute inline, BML-less, instead of
+  // within stall_ms and must execute inline, BML-less, instead of
   // blocking until the first completes.
   ClusterOptions o;
   o.server.exec = rt::ExecModel::work_queue_async;
   o.server.bml_bytes = 64_KiB;
-  o.server.bml_wait_ms = 20;
+  o.server.stall_ms = 20;
   TestCluster tc(o);
   auto& client = tc.client();
 
@@ -59,7 +60,7 @@ TEST(Degradation, OversizeWriteStillBouncesNoMemory) {
   ClusterOptions o;
   o.server.exec = rt::ExecModel::work_queue_async;
   o.server.bml_bytes = 64_KiB;
-  o.server.bml_wait_ms = 10;
+  o.server.stall_ms = 10;
   TestCluster tc(o);
   ASSERT_TRUE(tc.client().open(1, "f").is_ok());
   EXPECT_EQ(tc.client().write(1, 0, pattern(1_MiB, 3)).code(), Errc::no_memory);
@@ -107,16 +108,60 @@ TEST(Degradation, BurstBufferStallBoundWritesThrough) {
   EXPECT_TRUE(bbuf.close(1).is_ok());
 }
 
+TEST(Degradation, OneStallBoundCoversBmlAndBurstBuffer) {
+  // One stall_ms bounds both waits for staging space. The BML holds one
+  // 48 KiB payload and the burst buffer four, which it never flushes on its
+  // own (watermarks at 1.0); every inner write takes 100ms. Once the cache is
+  // full, a staged write's worker stalls in bb, gives up after stall_ms and
+  // writes through — holding its BML lease all the while — so the next
+  // write's header cannot lease within stall_ms either and passes through.
+  // Non-adjacent offsets keep the cached extents from merging.
+  ClusterOptions o;
+  o.server.exec = rt::ExecModel::work_queue_async;
+  o.server.bml_bytes = 64_KiB;
+  o.server.bb_bytes = 256_KiB;  // write-through-by-size starts at 64 KiB
+  o.server.bb_high_watermark = 1.0;
+  o.server.bb_low_watermark = 1.0;
+  o.server.stall_ms = 10;
+  TestCluster tc(o);
+  tc.backend_plan().add({.op = OpKind::write,
+                         .probability = 1.0,
+                         .transient = false,
+                         .error = Errc::ok,
+                         .latency = 100'000us});
+  auto& client = tc.client();
+
+  ASSERT_TRUE(client.open(1, "f").is_ok());
+  constexpr std::uint64_t kWrites = 8;
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    ASSERT_TRUE(client.write(1, i * 1_MiB, pattern(48_KiB, 20 + i)).is_ok()) << "write " << i;
+  }
+  ASSERT_TRUE(client.fsync(1).is_ok());
+
+  const auto st = tc.server().metrics();
+  EXPECT_GE(st.counter("server.bml_timeouts"), 1u) << "no write timed out on the BML";
+  EXPECT_GE(st.counter("bb.degraded_writes"), 1u) << "no write timed out on the burst buffer";
+  EXPECT_TRUE(client.close(1).is_ok());
+
+  const auto all = tc.drain_and_snapshot("f");
+  ASSERT_EQ(all.size(), (kWrites - 1) * 1_MiB + 48_KiB);
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    const auto want = pattern(48_KiB, 20 + i);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                           all.begin() + static_cast<std::ptrdiff_t>(i * 1_MiB)))
+        << "write " << i;
+  }
+}
+
 TEST(Degradation, QueueDepthWatermarkForcesSyncStaging) {
   // One worker, 30ms per backend write, 24 pipelined writes: the queue depth
   // crosses the high watermark, so later writes must be staged synchronously
-  // (acknowledged only on completion) until the queue drains below the low
-  // watermark.
+  // (acknowledged only on completion) until the queue drains to a quarter of
+  // the watermark.
   ClusterOptions o;
   o.server.exec = rt::ExecModel::work_queue_async;
   o.server.workers = 1;
-  o.server.degraded_high_watermark = 4;
-  o.server.degraded_low_watermark = 1;
+  o.server.degraded_queue_depth = 4;  // exits at depth 1
   o.clients = 0;  // the pipelined AsyncClient below is the only client
   TestCluster tc(o);
   tc.backend_plan().add({.op = OpKind::write,
@@ -152,8 +197,7 @@ TEST(Degradation, IdleDegradedServerReportsTheOpenInterval) {
   ClusterOptions o;
   o.server.exec = rt::ExecModel::work_queue_async;
   o.server.workers = 1;
-  o.server.degraded_high_watermark = 2;
-  o.server.degraded_low_watermark = 0;  // no write of the burst sees an empty queue
+  o.server.degraded_queue_depth = 2;  // exits at depth 0: no write of the burst sees it
   o.clients = 0;
   TestCluster tc(o);
   tc.backend_plan().add({.op = OpKind::write,

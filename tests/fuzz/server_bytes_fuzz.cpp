@@ -27,7 +27,7 @@ int server_bytes_one(const std::uint8_t* data, std::size_t size) {
   cfg.exec = ExecModel::thread_per_client;  // inline, single-threaded ops
   cfg.workers = 0;
   cfg.bml_bytes = 1 << 20;       // bounds any payload staging to 1 MiB
-  cfg.bml_wait_ms = 1;           // an unservable lease bounces, not blocks
+  cfg.stall_ms = 1;              // an unservable lease bounces, not blocks
   cfg.flight_recorder_ops = 0;
   IonServer server(std::make_unique<MemBackend>(), cfg);
   server.feed_bytes(std::span<const std::byte>(

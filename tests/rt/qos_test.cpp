@@ -1,8 +1,8 @@
 // Per-tenant QoS admission control (DESIGN.md §17): token-bucket governor
 // unit tests, the end-to-end demotion path (an over-budget async write is
-// staged synchronously — acked late, never lost), cross-shard tenant
-// tagging through RoutingClient, and the FaultPlan hook that lets chaos
-// tests force admission verdicts deterministically.
+// staged synchronously — acked late, never lost), the exec models that have
+// nothing to demote and so are not metered, and cross-shard tenant tagging
+// through RoutingClient.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/units.hpp"
-#include "fault/plan.hpp"
 #include "obs/metrics.hpp"
 #include "rt/qos.hpp"
 #include "rt/server.hpp"
@@ -118,6 +117,32 @@ TEST(Qos, OverBudgetAsyncWritesDemoteToSyncStagingWithDataIntact) {
   EXPECT_EQ(tc.drain_and_snapshot("f"), golden);
 }
 
+TEST(Qos, SyncExecModelsAreNotMetered) {
+  // QoS acts on async staging only: a work_queue write is already acked at
+  // completion, so there is nothing to demote — and nothing to debit. Even a
+  // 1 byte/s budget must leave every QoS counter at zero.
+  ClusterOptions o;
+  o.server.exec = ExecModel::work_queue;
+  o.server.qos.bytes_per_sec = 1;
+  TestCluster tc(o);
+  auto& client = tc.client();
+
+  ASSERT_TRUE(client.open(1, "f").is_ok());
+  std::vector<std::byte> golden;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const auto chunk = pattern(4_KiB, 50 + i);
+    ASSERT_TRUE(client.write(1, golden.size(), chunk).is_ok());
+    golden.insert(golden.end(), chunk.begin(), chunk.end());
+  }
+  ASSERT_TRUE(client.fsync(1).is_ok());
+
+  const auto st = tc.server().metrics();
+  EXPECT_EQ(st.counter("server.qos.throttled_ops"), 0u);
+  EXPECT_EQ(st.counter("server.qos.admitted_bytes"), 0u);
+  EXPECT_EQ(st.counter("server.degraded_sync_writes"), 0u);
+  EXPECT_EQ(tc.drain_and_snapshot("f"), golden);
+}
+
 TEST(Qos, WithinBudgetWritesKeepTheFastPath) {
   // Generous budget: nothing throttles, nothing demotes, and the admitted
   // byte count matches what the client pushed.
@@ -183,40 +208,6 @@ TEST(Qos, TenantTagPropagatesToEveryShardThroughRoutingClient) {
   EXPECT_EQ(shards_tagged, shards_with_files)
       << "a shard holding tenant data must have accounted it under the tenant's bucket";
   EXPECT_GE(shards_tagged, 2) << "8 descriptors over 3 shards should spread";
-}
-
-TEST(Qos, FaultHookForcesThrottleVerdictsFromAFaultPlan) {
-  // The qos_fault_hook lets a FaultPlan script admission verdicts without
-  // configuring rates: rule fires => the write is treated as over budget.
-  // Burst of 2 on the first matching call: exactly the first two writes
-  // demote, the rest keep the fast path, bytes stay intact either way.
-  auto plan = std::make_shared<fault::FaultPlan>();
-  plan->add({.op = fault::OpKind::write, .nth = 1, .burst = 2});
-
-  ClusterOptions o;
-  o.server.exec = ExecModel::work_queue_async;
-  o.server.qos_fault_hook = [plan](std::uint64_t, std::uint64_t) {
-    return plan->next(fault::OpKind::write).fired();
-  };
-  TestCluster tc(o);
-  auto& client = tc.client();
-
-  ASSERT_TRUE(client.open(1, "f").is_ok());
-  constexpr std::size_t kOps = 4;
-  std::vector<std::byte> golden;
-  for (std::size_t i = 0; i < kOps; ++i) {
-    const auto chunk = pattern(4_KiB, 100 + i);
-    ASSERT_TRUE(client.write(1, golden.size(), chunk).is_ok());
-    golden.insert(golden.end(), chunk.begin(), chunk.end());
-  }
-  ASSERT_TRUE(client.fsync(1).is_ok());
-
-  const auto st = tc.server().metrics();
-  EXPECT_EQ(st.counter("server.degraded_sync_writes"), 2u);
-  EXPECT_EQ(st.counter("server.qos.throttled_ops"), 0u)
-      << "the hook is not the governor: no QoS counters";
-
-  EXPECT_EQ(tc.drain_and_snapshot("f"), golden);
 }
 
 }  // namespace

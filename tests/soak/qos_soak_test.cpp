@@ -64,8 +64,7 @@ TEST_P(QosSoak, TenantsStayIsolatedUnderThrottlingAndFaults) {
   o.server.sched = policy;
   o.server.bml_bytes = 16_MiB;
   o.server.bb_bytes = 4_MiB;
-  o.server.bml_wait_ms = 50;
-  o.server.bb_max_stall_ms = 50;
+  o.server.stall_ms = 50;
   // Tight per-tenant budget: a 64 KiB burst refilling at 256 KiB/s is far
   // below what any tenant pushes, so demotion fires throughout the run.
   o.server.qos.bytes_per_sec = 256_KiB;

@@ -79,8 +79,7 @@ TEST_P(SoakMatrix, EveryClientIsolatedNoSilentCorruptionCleanDrain) {
   o.server.workers = 4;
   o.server.bml_bytes = 16_MiB;
   o.server.bb_bytes = 4_MiB;
-  o.server.bml_wait_ms = 50;
-  o.server.bb_max_stall_ms = 50;
+  o.server.stall_ms = 50;
   o.clients = 0;
   if (mode == FaultMode::transient) {
     // 1% transient backend write failures, absorbed by the retry layer.
