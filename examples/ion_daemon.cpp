@@ -367,7 +367,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(snap.counter("bb.flushed_bytes")) / (1 << 20));
   }
   if (fleet) {
-    if (const cluster::ClusterBbBudget* budget = fleet->budget()) {
+    if (const bb::ClusterBbBudget* budget = fleet->budget()) {
       std::printf("cluster bb budget: %.1f MiB peak of %.1f MiB, %llu denials\n",
                   static_cast<double>(budget->staged_high_water()) / (1 << 20),
                   static_cast<double>(budget->capacity()) / (1 << 20),

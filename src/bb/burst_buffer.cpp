@@ -6,7 +6,7 @@
 #include <cstring>
 
 #include "bb/journal.hpp"
-#include "cluster/bb_budget.hpp"
+#include "bb/bb_budget.hpp"
 
 namespace iofwd::bb {
 

@@ -11,7 +11,7 @@
 // Semantics (mirroring the server's documented async-staging guarantees):
 //   * Read-your-writes is served directly from cached extents; reads never
 //     force a flush barrier (holes read through to the inner backend).
-//   * A flush error is recorded in a proto::DescriptorDb and surfaces as a
+//   * A flush error is recorded in an rt::DescriptorDb and surfaces as a
 //     deferred error on the next operation on that descriptor — which then
 //     does NOT execute — exactly once; the failed extent's lease is released
 //     either way, so errors never leak pool capacity.
@@ -36,16 +36,13 @@
 
 #include "bb/extent_index.hpp"
 #include "obs/metrics.hpp"
-#include "proto/descriptor_db.hpp"
+#include "rt/descriptor_db.hpp"
 #include "rt/backend.hpp"
 #include "rt/bml.hpp"
 
-namespace iofwd::cluster {
-class ClusterBbBudget;
-}  // namespace iofwd::cluster
-
 namespace iofwd::bb {
 
+class ClusterBbBudget;
 class Journal;
 
 struct BurstBufferConfig {
@@ -65,12 +62,12 @@ struct BurstBufferConfig {
   // a private one). IonServer passes its own so the server and its cache
   // share one snapshot. See DESIGN.md §11.
   obs::MetricRegistry* registry = nullptr;
-  // Cluster-wide staging budget (src/cluster/bb_budget.hpp, DESIGN.md §14).
+  // Cluster-wide staging budget (bb/bb_budget.hpp, DESIGN.md §14).
   // When set, every cached byte is first reserved against this shared
   // accountant — a denied reservation behaves like a full local cache (stall,
   // then degrade to write-through) — and the global high/low watermarks are
   // ORed into this cache's flusher hysteresis. Must outlive the backend.
-  cluster::ClusterBbBudget* cluster_budget = nullptr;
+  ClusterBbBudget* cluster_budget = nullptr;
   // Crash-consistent staging journal (DESIGN.md §16). Non-empty = every
   // staged extent is appended to a write-ahead log in this directory before
   // the write is acked, and startup replays any surviving log back into the
@@ -207,7 +204,7 @@ class BurstBufferBackend final : public rt::IoBackend {
   std::map<int, std::string> open_paths_;
 
   std::mutex db_mu_;
-  proto::DescriptorDb db_;
+  rt::DescriptorDb db_;
 
   std::mutex flush_mu_;
   std::condition_variable flush_cv_;  // flushers wait here

@@ -10,7 +10,7 @@ IonCluster::IonCluster(BackendFactory make_backend, IonClusterConfig cfg)
     : cfg_(std::move(cfg)), make_backend_(std::move(make_backend)), map_(cfg_.shards) {
   assert(make_backend_ && "IonCluster needs a backend factory");
   if (cfg_.cluster_bb_bytes > 0) {
-    budget_ = std::make_unique<ClusterBbBudget>(
+    budget_ = std::make_unique<bb::ClusterBbBudget>(
         cfg_.cluster_bb_bytes, cfg_.cluster_bb_high_watermark, cfg_.cluster_bb_low_watermark);
   }
   const int n = map_.shards();

@@ -35,7 +35,7 @@
 #include <mutex>
 #include <vector>
 
-#include "cluster/bb_budget.hpp"
+#include "bb/bb_budget.hpp"
 #include "cluster/health.hpp"
 #include "cluster/shard_map.hpp"
 #include "obs/metrics.hpp"
@@ -79,7 +79,7 @@ class IonCluster {
     return *servers_.at(static_cast<std::size_t>(i));
   }
   // The shared staging accountant, or nullptr when cluster_bb_bytes == 0.
-  [[nodiscard]] ClusterBbBudget* budget() { return budget_.get(); }
+  [[nodiscard]] bb::ClusterBbBudget* budget() { return budget_.get(); }
 
   // Hand a connected stream / listener to one shard.
   void serve(int shard_idx, std::unique_ptr<rt::ByteStream> stream);
@@ -125,7 +125,7 @@ class IonCluster {
   IonClusterConfig cfg_;
   BackendFactory make_backend_;  // kept for restart_shard()
   ShardMap map_;
-  std::unique_ptr<ClusterBbBudget> budget_;
+  std::unique_ptr<bb::ClusterBbBudget> budget_;
   std::vector<std::unique_ptr<obs::MetricRegistry>> registries_;
   std::vector<std::unique_ptr<rt::IonServer>> servers_;
 

@@ -17,7 +17,7 @@
 #include "bgp/machine.hpp"
 #include "core/status.hpp"
 #include "obs/metrics.hpp"
-#include "proto/descriptor_db.hpp"
+#include "rt/descriptor_db.hpp"
 #include "proto/types.hpp"
 #include "rt/scheduler.hpp"
 #include "sim/chrome_trace.hpp"
@@ -85,7 +85,7 @@ class Forwarder {
   // engine run dry before destroying a forwarder.
   virtual void shutdown() {}
 
-  [[nodiscard]] DescriptorDb& descriptors() { return db_; }
+  [[nodiscard]] rt::DescriptorDb& descriptors() { return db_; }
   [[nodiscard]] const sim::ChromeTracer* tracer() const { return tracer_.get(); }
   // The "fwd.*" metrics (DESIGN.md §11) — owned unless
   // ForwarderConfig::registry was set.
@@ -132,7 +132,7 @@ class Forwarder {
   bgp::Pset& pset_;
   RunMetrics& metrics_;
   ForwarderConfig cfg_;
-  DescriptorDb db_;
+  rt::DescriptorDb db_;
   std::unique_ptr<sim::ChromeTracer> tracer_;
 
   // Registry-backed metrics ("fwd.*").

@@ -14,10 +14,17 @@ namespace iofwd::rt {
 
 enum class ExecModel { thread_per_client, work_queue, work_queue_async };
 
-[[nodiscard]] const char* to_string(ExecModel m);
+[[nodiscard]] inline const char* to_string(ExecModel m) {
+  switch (m) {
+    case ExecModel::thread_per_client: return "thread_per_client";
+    case ExecModel::work_queue: return "work_queue";
+    case ExecModel::work_queue_async: return "work_queue_async";
+  }
+  return "?";
+}
 
 enum class Verdict : std::uint8_t {
-  inline_exec,  // execute on the receiver thread, reply on completion
+  inline_exec,  // execute on the receive lane, reply on completion
   sync_stage,   // queue for the workers, reply on completion
   async_stage,  // queue for the workers, reply "staged" now
   passthrough,  // no BML lease: execute inline from the heap payload

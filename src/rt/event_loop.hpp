@@ -39,7 +39,7 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   // False if epoll/eventfd creation failed at construction (no fds left);
-  // callers fall back to blocking receiver threads.
+  // the server then refuses the connections it cannot register.
   [[nodiscard]] bool valid() const { return ep_fd_ >= 0 && wake_fd_ >= 0; }
 
   // Register `fd` edge-triggered; `key` comes back verbatim from wait().

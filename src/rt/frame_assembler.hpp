@@ -7,9 +7,8 @@
 // asks the caller (via on_header) where the payload bytes should land —
 // a BML buffer, heap memory, or nowhere (an oversize bounce swallows them) —
 // and fires on_frame once the payload is complete. Header decoding,
-// validation, counters, and dispatch all stay in the caller, so the blocking
-// receiver path (feed_bytes, non-pollable streams) reuses the identical
-// byte-for-byte decode by pumping the same feed() from read_exact chunks.
+// validation, counters, and dispatch all stay in the caller (the server's
+// receive lanes).
 //
 // Direct receive: once a header is parsed, payload_dest() exposes the rest
 // of the payload's destination so the receiver can read() straight into the
@@ -40,8 +39,7 @@ class FrameAssembler {
   };
 
   // Bytes required to finish the current unit (header or payload). Never 0:
-  // a zero-length payload completes inside feed() without a new read. Used
-  // by the blocking receiver to size its next read_exact.
+  // a zero-length payload completes inside feed() without a new read.
   [[nodiscard]] std::size_t needed() const {
     if (!in_payload_) return FrameHeader::kWireSize - have_;
     return static_cast<std::size_t>(sink_.len - filled_);

@@ -42,9 +42,13 @@
 #include <utility>
 #include <vector>
 
-#include "rt/wire.hpp"
-
 namespace iofwd::rt {
+
+// Highest priority class a frame may carry (4 classes, 0 = default/lowest
+// urgency by convention of the priority scheduler, which serves the HIGHEST
+// class first). Bounded at decode (rt/wire.hpp) so schedulers can index
+// by class safely.
+inline constexpr std::uint8_t kMaxPriorityClass = 3;
 
 enum class SchedPolicy : std::uint8_t {
   fifo = 0,

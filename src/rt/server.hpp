@@ -1,8 +1,8 @@
 // IonServer: the real I/O-forwarding daemon.
 //
 // Pluggable execution models mirror the paper's mechanisms:
-//   * thread_per_client  — ZOID's baseline: the per-client receiver thread
-//     executes each operation inline and replies (synchronous).
+//   * thread_per_client  — ZOID's baseline: each operation executes inline
+//     on the receive lane that decoded it, then replies (synchronous).
 //   * work_queue         — I/O scheduling: receivers enqueue tasks into the
 //     shared FIFO; a worker pool drains it with batched multiplexing; the
 //     client still blocks until completion (synchronous staging).
@@ -42,7 +42,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "proto/descriptor_db.hpp"
+#include "rt/descriptor_db.hpp"
 #include "rt/admission.hpp"
 #include "rt/backend.hpp"
 #include "rt/event_loop.hpp"
@@ -57,11 +57,8 @@
 
 namespace iofwd::bb {
 class BurstBufferBackend;
-}  // namespace iofwd::bb
-
-namespace iofwd::cluster {
 class ClusterBbBudget;
-}  // namespace iofwd::cluster
+}  // namespace iofwd::bb
 
 namespace iofwd::rt {
 
@@ -71,8 +68,7 @@ struct ServerConfig {
   // Receiver lanes (DESIGN.md §13): a fixed pool of epoll event-loop threads
   // that multiplex every pollable connection, replacing thread-per-connection
   // receive. New connections go to the lane with the fewest — the paper's
-  // least-loaded-worker heuristic. 0 = min(4, hardware_concurrency). Streams
-  // without a readiness fd still get a blocking receiver thread each.
+  // least-loaded-worker heuristic. 0 = min(4, hardware_concurrency).
   int recv_lanes = 0;
   // Per-connection bound on queued-but-unsent reply bytes (headers +
   // payloads) in the asynchronous send path (DESIGN.md §15). A connection
@@ -92,7 +88,7 @@ struct ServerConfig {
   // burst buffer reserves every cached byte against this shared accountant,
   // so the fleet's aggregate staged bytes respect one global watermark. Null
   // = standalone server (per-shard watermarks only). Must outlive the server.
-  cluster::ClusterBbBudget* bb_cluster_budget = nullptr;
+  bb::ClusterBbBudget* bb_cluster_budget = nullptr;
   // Burst-buffer write-ahead journal (DESIGN.md §16): when non-empty (and
   // bb_bytes > 0), every staged extent is journaled in this directory before
   // its ack and replayed into the cache on startup, making a shard crash
@@ -146,25 +142,26 @@ class IonServer {
   IonServer(const IonServer&) = delete;
   IonServer& operator=(const IonServer&) = delete;
 
-  // Serve a connected stream. Pollable streams (read_readiness_fd() >= 0)
-  // are registered with the least-loaded receiver lane; anything else falls
-  // back to a dedicated blocking receiver thread. Replies to lane-served
-  // connections whose stream also exposes write_readiness_fd() go through
-  // the asynchronous send path (bounded per-connection gather queues drained
-  // by the lane under EPOLLOUT, DESIGN.md §15); everything else replies via
-  // the blocking write_all fallback.
+  // Serve a connected stream: register it with the least-loaded receiver
+  // lane (DESIGN.md §13). Its replies go through the asynchronous send path:
+  // bounded per-connection gather queues drained by the lane under EPOLLOUT
+  // (DESIGN.md §15). A stream without both a read and a write readiness fd,
+  // or one no lane can register (out of fds), is refused: closed, recorded
+  // in the flight recorder and counted in server.conns_refused.
   void serve(std::unique_ptr<ByteStream> stream);
 
   // Accept clients from a listener (UNIX or TCP) until stop() (spawns a
   // thread).
   void serve_listener(std::unique_ptr<Listener> listener);
 
-  // Fuzz/robustness entry point (DESIGN.md §12): runs the receiver loop
-  // synchronously, in the calling thread, over an in-memory stream that
-  // delivers exactly `bytes` then EOF (replies are discarded). This is the
-  // precise code path a hostile or bit-flipped peer reaches, minus the
-  // socket — tests/fuzz/server_bytes_fuzz.cpp drives it with arbitrary
-  // inputs and the checked-in corpus replays through it under ctest.
+  // Fuzz/robustness entry point (DESIGN.md §12): serve() one end of a
+  // socketpair, write exactly `bytes` into the other end from a helper
+  // thread and half-close it, and read and discard the replies here until
+  // EOF. Returns once the lane has consumed every byte or dropped the
+  // connection. This is the precise path a hostile or bit-flipped peer
+  // reaches — lane receive, direct payload reads, the async reply queue —
+  // and tests/fuzz/server_bytes_fuzz.cpp drives it with arbitrary inputs;
+  // the checked-in corpus replays through it under ctest.
   void feed_bytes(std::span<const std::byte> bytes);
 
   // Install a data-filtering chain (in-situ analytics / data reduction,
@@ -207,13 +204,12 @@ class IonServer {
   [[nodiscard]] const bb::BurstBufferBackend* burst_buffer() const { return bb_; }
 
  private:
-  struct Lane;  // receiver lane: epoll loop + its connections (server.cpp)
+  struct Lane;  // receiver lane: epoll loop + its connections (server_lane.hpp)
 
   // Receive-side state of the op currently being reassembled. Only the one
-  // lane (or blocking receiver) thread that owns the connection touches it,
-  // so it needs no locking. Staging is chosen at header time — exactly where
-  // the old blocking receiver chose it — so BML backpressure still lands
-  // before the payload bytes are consumed.
+  // lane thread that owns the connection touches it, so it needs no locking.
+  // Staging is chosen at header time, so BML backpressure lands before the
+  // payload bytes are consumed.
   struct RxPending {
     enum class Staging { none, bml, heap, discard };
     FrameHeader req{};
@@ -252,19 +248,18 @@ class IonServer {
 
   struct ClientConn {
     std::unique_ptr<ByteStream> stream;
-    std::mutex write_mu;  // serializes sync-fallback reply frames
     // Negotiated wire version: 0 until (unless) the client sends `hello`,
     // then min(client, server). Atomic because workers stamp replies while
-    // the receiver thread negotiates.
+    // the lane negotiates.
     std::atomic<std::uint16_t> version{0};
     // Tenant (client/job) id from the hello handshake's offset field; 0 for
     // v0 clients (one shared "anonymous" tenant). Keys the fair scheduler
     // and the QoS buckets. Atomic for the same negotiation race as version.
     std::atomic<std::uint64_t> tenant{0};
-    // Receiver-lane state (owned by the lane/receiver thread).
+    // Receiver-lane state (owned by the lane thread).
     FrameAssembler assembler;
     RxPending rx;
-    Lane* lane = nullptr;        // null: served by a blocking receiver thread
+    Lane* lane = nullptr;        // the lane serving this connection
     std::uint64_t lane_key = 0;  // epoll registration key within that lane
     int rfd = -1;                // cached stream->read_readiness_fd()
     int wfd = -1;                // cached stream->write_readiness_fd()
@@ -293,26 +288,23 @@ class IonServer {
     std::chrono::steady_clock::time_point arrival{};
   };
 
-  // Trace tid for ops executed inline on a receiver thread (thread-per-client
+  // Trace tid for ops executed inline on a receive lane (thread-per-client
   // mode, degraded pass-through, open/close/fsync/fstat). Worker lanes use
   // their pool index 0..workers-1.
   static constexpr int kInlineLane = 99;
 
-  // Receiver path (DESIGN.md §13). Lanes poll; both lane and blocking
-  // receivers funnel raw bytes through the same on_bytes -> FrameAssembler ->
-  // on_header/on_frame pipeline, so decode is byte-for-byte identical.
+  // Receive path (DESIGN.md §13, server_receive.cpp). Each lane polls its
+  // connections and feeds raw bytes through FrameAssembler ->
+  // on_header/on_frame; payloads are read straight into their staging.
   void lane_loop(Lane& lane);
   void drop_lane_conn(Lane& lane, std::uint64_t key, ClientConn& conn, Errc reason);
-  void blocking_receiver_loop(std::shared_ptr<ClientConn> conn);
-  Status on_bytes(const std::shared_ptr<ClientConn>& conn, std::span<const std::byte> bytes);
-  // n payload bytes were read straight into assembler.payload_dest().
-  Status on_payload(const std::shared_ptr<ClientConn>& conn, std::size_t n);
   Result<FrameAssembler::Sink> on_header(
       ClientConn& conn, std::span<const std::byte, FrameHeader::kWireSize> hdr_bytes);
   Status on_frame(const std::shared_ptr<ClientConn>& conn);
   // Spawn the lane pool on first pollable connection (threads_mu_ held).
   void ensure_lanes_locked();
 
+  // Execute path (server_execute.cpp).
   void worker_loop(int lane);
   void execute_task(Task& t, int lane);
   // Apply the filter chain (if any) and issue the backend write of `lease`,
@@ -339,9 +331,8 @@ class IonServer {
   void finish_op(ClientConn& conn, const FrameHeader& req,
                  std::chrono::steady_clock::time_point arrival, const Status& st);
 
-  // Inline op handlers (lane or blocking-receiver thread). Payload-carrying
-  // ops receive their fully assembled payload; the others run at frame
-  // completion exactly as before.
+  // Inline op handlers, run on the lane thread. Payload-carrying ops receive
+  // their fully assembled payload; the others run at frame completion.
   void handle_hello(ClientConn& conn, const FrameHeader& req);
   void handle_ping(ClientConn& conn, const FrameHeader& req);
   void handle_open(ClientConn& conn, const FrameHeader& req,
@@ -357,10 +348,9 @@ class IonServer {
   void handle_read(const std::shared_ptr<ClientConn>& conn, const FrameHeader& req,
                    std::chrono::steady_clock::time_point arrival);
 
-  // Reply path (DESIGN.md §15). enqueue_reply builds the reply header
-  // (stamping the payload CRC straight from the lease bytes), then either
-  // queues a gather descriptor on the connection's send queue (lane-served
-  // pollable streams) or falls back to blocking write_all under write_mu.
+  // Reply path (DESIGN.md §15, server_reply.cpp). enqueue_reply builds the
+  // reply header (stamping the payload CRC straight from the lease bytes)
+  // and queues a gather descriptor on the connection's send queue.
   // Failures are accounted in server.reply.*, never returned: a reply that
   // cannot be delivered means the peer is gone or hopelessly slow, and the
   // connection is dropped.
@@ -414,11 +404,11 @@ class IonServer {
   obs::Counter& c_header_crc_errors_;
   obs::Counter& c_payload_crc_errors_;
   obs::Counter& c_frames_rejected_;
+  obs::Counter& c_conns_refused_;
   obs::Counter& c_replies_enqueued_;
   obs::Counter& c_replies_sent_;
   obs::Counter& c_reply_queue_full_;
   obs::Counter& c_reply_peer_gone_;
-  obs::Counter& c_reply_sync_fallback_;
   obs::Counter& c_reply_copy_bytes_;
   obs::Histogram& h_write_lat_us_;
   obs::Histogram& h_read_lat_us_;
@@ -433,7 +423,7 @@ class IonServer {
 
   std::mutex db_mu_;
   std::condition_variable db_cv_;
-  proto::DescriptorDb db_;
+  DescriptorDb db_;
 
   std::mutex threads_mu_;
   std::vector<std::jthread> threads_;

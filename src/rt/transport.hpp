@@ -13,7 +13,7 @@
 // All streams are thread-compatible in the usual split sense: one reader
 // thread and one writer thread may operate concurrently; two concurrent
 // writers must synchronize externally (Client and the server's per-client
-// send queue each hold their own write mutex).
+// send queue each hold their own mutex).
 #pragma once
 
 #include <atomic>
@@ -46,9 +46,8 @@ class ByteStream {
   // Blocks until exactly n bytes were read, the peer closed (shutdown), or
   // an error occurred.
   virtual Status read_exact(void* buf, std::size_t n) = 0;
-  // Blocks until all n bytes were accepted. Kept as the compat wrapper for
-  // request paths (Client) and non-pollable streams; the server's reply path
-  // uses the non-blocking surface below.
+  // Blocks until all n bytes were accepted. The request path (Client) uses
+  // it; the server's reply path uses the non-blocking surface below.
   virtual Status write_all(const void* buf, std::size_t n) = 0;
   // Close this end; concurrent and future reads/writes fail with shutdown.
   virtual void close() = 0;
@@ -58,7 +57,7 @@ class ByteStream {
   // A stream that can participate in an epoll event loop exposes readiness
   // fds here: edge-triggered EPOLLIN on read_readiness_fd() means
   // read_some() will make progress. Streams without readiness support
-  // return -1 and are served by blocking threads instead.
+  // return -1, and IonServer::serve() refuses them.
   [[nodiscard]] virtual int read_readiness_fd() { return -1; }
   // Reads up to n bytes without blocking. Returns the count read (> 0),
   // would_block when no bytes are available right now, or shutdown at EOF.
@@ -75,8 +74,7 @@ class ByteStream {
   //     on that fd to learn when write_some() can make progress again.
   //   * a distinct fd (the in-proc pipe's eventfd shim): poll it for EPOLLIN;
   //     a tick means space was freed after a would_block.
-  // -1 means the stream has no non-blocking write: callers fall back to
-  // write_all on a thread that may block.
+  // -1 means the stream has no non-blocking write (not servable either).
   [[nodiscard]] virtual int write_readiness_fd() { return -1; }
   // Writes up to n bytes without blocking. Returns the count accepted (> 0),
   // would_block when the stream is full (which re-arms the write readiness
@@ -208,7 +206,7 @@ class SocketTransport final : public ByteStream {
 
  private:
   // Atomic: close() (e.g. from the server's stop path) races with blocked
-  // read_exact/write_all calls on receiver threads by design.
+  // read_exact/write_all calls on client threads by design.
   std::atomic<int> fd_{-1};
 };
 

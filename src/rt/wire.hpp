@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "core/status.hpp"
+#include "rt/scheduler.hpp"  // kMaxPriorityClass
 
 namespace iofwd::rt {
 
@@ -74,11 +75,6 @@ inline constexpr std::uint8_t kMaxOpCode = static_cast<std::uint8_t>(OpCode::pin
 // Highest protocol version this build speaks. v0 = the original unchecked
 // framing (44-byte headers are gone, but v0 semantics = no payload CRCs).
 inline constexpr std::uint16_t kProtoVersion = 1;
-
-// Highest priority class a frame may carry (4 classes, 0 = default/lowest
-// urgency by convention of the priority scheduler, which serves the HIGHEST
-// class first). Bounded at decode so schedulers can index by class safely.
-inline constexpr std::uint8_t kMaxPriorityClass = 3;
 
 struct FrameHeader {
   static constexpr std::uint32_t kMagic = 0x494f4657;  // "IOFW"

@@ -5,8 +5,8 @@
 //   * bound queued reply memory at ServerConfig::send_queue_bytes and drop
 //     only the stalled connection when a peer stops reading — releasing the
 //     BML leases its queued replies were pinning;
-//   * fall back to the pre-§15 blocking reply path for streams with no
-//     write readiness fd;
+//   * refuse a stream with no readiness fds instead of serving it off the
+//     lanes, leaving every other connection untouched;
 //   * account the one remaining reply memcpy (fstat's 8-byte size) so the
 //     bench's zero-copy gate has a counter to watch.
 //
@@ -226,8 +226,7 @@ TEST(SendPath, QueueFullDropsOnlyTheStalledConnection) {
       << "queued replies behind the drop were not accounted";
 }
 
-// A stream that hides its readiness fds: the server must serve it with a
-// blocking receiver thread and the pre-§15 inline reply path.
+// A stream that hides its readiness fds: no lane can poll it.
 class OpaqueStream final : public ByteStream {
  public:
   explicit OpaqueStream(std::unique_ptr<ByteStream> inner) : inner_(std::move(inner)) {}
@@ -239,34 +238,44 @@ class OpaqueStream final : public ByteStream {
   std::unique_ptr<ByteStream> inner_;
 };
 
-TEST(SendPath, NonPollableStreamFallsBackToBlockingReplies) {
+TEST(SendPath, NonPollableStreamIsRefused) {
   ServerConfig cfg;
   cfg.exec = ExecModel::work_queue_async;
   IonServer server(std::make_unique<MemBackend>(), cfg);
+  Raw healthy = dial(server, 64_KiB);
+  ASSERT_TRUE(healthy.handshake(1, "f"));
 
   auto [s, c] = InProcTransport::make_pair(64_KiB);
   server.serve(std::make_unique<OpaqueStream>(std::move(s)));
-  Raw conn{std::move(c)};
-  ASSERT_TRUE(conn.handshake(1, "f"));
+  // The refused stream is closed: the peer's next read reports shutdown.
+  std::byte b;
+  EXPECT_EQ(c->read_exact(&b, 1).code(), Errc::shutdown);
+  EXPECT_EQ(server.metrics().counter("server.conns_refused"), 1u);
+  const auto ring = server.flight_recorder()->snapshot();
+  EXPECT_TRUE(std::any_of(ring.begin(), ring.end(), [](const obs::FlightRecord& r) {
+    return std::string(r.op) == "conn_refused";
+  }));
 
+  // The connection served before the refusal, and one served after it, both
+  // keep full write/read service.
+  Raw late = dial(server, 64_KiB);
+  ASSERT_TRUE(late.handshake(2, "g"));
   const auto data = testsupport::pattern(8_KiB, 0xfa11);
-  FrameHeader wr;
-  wr.op = OpCode::write;
-  wr.fd = 1;
-  ASSERT_TRUE(conn.roundtrip(wr, data));
-  FrameHeader rd;
-  rd.op = OpCode::read;
-  rd.fd = 1;
-  rd.payload_len = 8_KiB;
-  std::vector<std::byte> back;
-  ASSERT_TRUE(conn.roundtrip(rd, {}, nullptr, &back));
-  EXPECT_EQ(back, data);
-
-  const auto st = server.metrics();
-  EXPECT_GE(st.counter("server.reply.sync_fallback"), 4u)
-      << "hello/open/write/read all reply synchronously here";
-  EXPECT_EQ(st.counter("server.reply.enqueued"), 0u) << "nothing should touch the async queue";
+  for (auto [conn, fd] : {std::pair{&healthy, 1}, std::pair{&late, 2}}) {
+    FrameHeader wr;
+    wr.op = OpCode::write;
+    wr.fd = fd;
+    ASSERT_TRUE(conn->roundtrip(wr, data));
+    FrameHeader rd;
+    rd.op = OpCode::read;
+    rd.fd = fd;
+    rd.payload_len = 8_KiB;
+    std::vector<std::byte> back;
+    ASSERT_TRUE(conn->roundtrip(rd, {}, nullptr, &back));
+    EXPECT_EQ(back, data);
+  }
   server.stop();
+  EXPECT_EQ(server.metrics().counter("server.conns_refused"), 1u);
 }
 
 TEST(SendPath, FstatIsTheOnlyReplyCopy) {

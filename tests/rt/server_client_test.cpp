@@ -384,33 +384,15 @@ std::vector<std::byte> back_to_back_requests(std::span<const std::byte> big,
   return wire;
 }
 
-// A socket with its readiness fds hidden: the server serves it from a
-// blocking receiver thread instead of a lane.
-class BlockingOnly final : public ByteStream {
- public:
-  explicit BlockingOnly(std::unique_ptr<ByteStream> s) : s_(std::move(s)) {}
-  Status read_exact(void* buf, std::size_t n) override { return s_->read_exact(buf, n); }
-  Status write_all(const void* buf, std::size_t n) override { return s_->write_all(buf, n); }
-  void close() override { s_->close(); }
-
- private:
-  std::unique_ptr<ByteStream> s_;
-};
-
 class DirectReceiveOverSocket : public ::testing::TestWithParam<bool> {};
 
 TEST_P(DirectReceiveOverSocket, BackToBackWritesAndReadOverSocketpairAreByteExact) {
-  const bool lane = GetParam();
   auto pair = SocketTransport::make_socketpair();
   ASSERT_TRUE(pair.is_ok());
   auto [server_end, client_end] = std::move(pair).value();
   MemBackend mem;
   IonServer server(std::make_unique<testsupport::BorrowedBackend>(mem), {});
-  if (lane) {
-    server.serve(std::move(server_end));
-  } else {
-    server.serve(std::make_unique<BlockingOnly>(std::move(server_end)));
-  }
+  server.serve(std::move(server_end));
 
   const auto big = pattern(kBigWrite, 21);
   const auto small = pattern(kSmallWrite, 22);
@@ -446,12 +428,12 @@ TEST_P(DirectReceiveOverSocket, BackToBackWritesAndReadOverSocketpairAreByteExac
   EXPECT_EQ(mem.snapshot("f"), expect);
 }
 
-INSTANTIATE_TEST_SUITE_P(Receivers, DirectReceiveOverSocket, ::testing::Bool(),
-                         [](const auto& pinfo) { return pinfo.param ? "Lane" : "BlockingThread"; });
+INSTANTIATE_TEST_SUITE_P(Receivers, DirectReceiveOverSocket, ::testing::Values(true),
+                         [](const auto&) { return "Lane"; });
 
 TEST(DirectReceive, FeedBytesLandsBackToBackWritesByteExact) {
-  // feed_bytes pumps the same byte stream through the blocking receiver
-  // loop inline; its replies are swallowed, so check the backend.
+  // feed_bytes pumps the same byte stream through a receive lane over a
+  // socketpair; its replies are discarded, so check the backend.
   MemBackend mem;
   IonServer server(std::make_unique<testsupport::BorrowedBackend>(mem), {});
   const auto big = pattern(kBigWrite, 23);

@@ -42,7 +42,7 @@ TEST_P(IorPatterns, AllPatternsComplete) {
 INSTANTIATE_TEST_SUITE_P(Sweep, IorPatterns,
                          ::testing::Values(IorPattern::sequential, IorPattern::strided,
                                            IorPattern::random),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& pinfo) { return to_string(pinfo.param); });
 
 TEST(Ior, PerProcessFilesComplete) {
   auto p = quick();
