@@ -39,7 +39,6 @@ using namespace iofwd;
 
 constexpr int kClients = 64;
 constexpr int kFdsPerClient = 8;
-constexpr std::size_t kPipeBytes = 64_KiB;
 constexpr std::size_t kWriteBytes = 16_KiB;
 constexpr auto kDeviceLatency = std::chrono::microseconds(120);
 
@@ -83,7 +82,7 @@ double aggregate_mibs(int shards, int writes, int reps) {
     for (int c = 0; c < kClients; ++c) {
       std::vector<cluster::RoutingClient::ShardLink> links;
       for (int s = 0; s < shards; ++s) {
-        auto [srv, cl] = rt::InProcTransport::make_pair(kPipeBytes);
+        auto [srv, cl] = rt::SocketTransport::make_socketpair().value();
         fleet.serve(s, std::move(srv));
         cluster::RoutingClient::ShardLink link;
         link.stream = std::move(cl);

@@ -8,15 +8,14 @@
 // throughput*: 1024 connections must move bytes about as fast as 16, because
 // the lanes (not the connection count) bound the per-byte work.
 //
-// This bench drives 1 -> 1024 in-process connections against one IonServer.
+// This bench drives 1 -> 1024 socketpair connections against one IonServer.
 // The harness speaks the wire protocol directly and *pipelines*: each driver
 // thread blasts every write frame for a connection back-to-back and reaps
 // the 56-byte acks afterwards, the way a real CN-side forwarder batches —
 // a Client::write roundtrip per op would serialize on ack latency and
 // measure the host scheduler, not the server. Deferred reaping also means
-// acks pile up against a full client ring, so the send path's EPOLLOUT
-// arming and gathered writev drain are on the hot path of this measurement,
-// not an untested corner. Connections are spread over at most
+// acks pile up in each connection's socket buffer while the lanes keep
+// receiving. Connections are spread over at most
 // kMaxDriverThreads driver threads. Aggregate throughput = total payload
 // bytes / wall time from a synchronized start until every connection's acks
 // (including the fsync barrier reply) are reaped and verified.
@@ -58,11 +57,10 @@ namespace {
 
 using namespace iofwd;
 
-constexpr std::size_t kPipeBytes = 32_KiB;   // per-direction in-proc ring
 constexpr std::size_t kWriteBytes = 16_KiB;  // per-op payload
 constexpr int kMaxDriverThreads = 16;        // uniform from the 16-client point up
 
-// One raw protocol connection: the client end of an in-proc pair plus its
+// One raw protocol connection: the client end of a socketpair plus its
 // sequence counter.
 struct RawConn {
   std::unique_ptr<rt::ByteStream> s;
@@ -126,7 +124,7 @@ double aggregate_mibs(int clients, int writes, std::uint64_t& copy_bytes) {
     std::vector<RawConn> conns(static_cast<std::size_t>(clients));
     bool setup_ok = true;
     for (int c = 0; c < clients; ++c) {
-      auto [s, cl] = rt::InProcTransport::make_pair(kPipeBytes);
+      auto [s, cl] = rt::SocketTransport::make_socketpair().value();
       server.serve(std::move(s));
       conns[static_cast<std::size_t>(c)].s = std::move(cl);
 
@@ -161,7 +159,7 @@ double aggregate_mibs(int clients, int writes, std::uint64_t& copy_bytes) {
       threads.emplace_back([&, d] {
         while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
         // Phase 1: blast every frame for this driver's strided slice. Acks
-        // accumulate in each connection's reply ring / server send queue
+        // accumulate in each connection's socket buffer / server send queue
         // (bounded: (writes + 1) 56-byte headers per connection).
         std::byte hdr[rt::FrameHeader::kWireSize];
         for (int c = d; c < clients; c += drivers) {
@@ -192,8 +190,7 @@ double aggregate_mibs(int clients, int writes, std::uint64_t& copy_bytes) {
         }
         // Phase 2: reap and verify every ack (writes + fsync barrier per
         // connection). The clock stops only after the server has proven all
-        // ops done — and draining the full rings here is what fires the
-        // EPOLLOUT edges the send path parked on.
+        // ops done.
         for (int c = d; c < clients; c += drivers) {
           RawConn& conn = conns[static_cast<std::size_t>(c)];
           for (int i = 0; i < writes + 1; ++i) {

@@ -73,7 +73,7 @@ double server_ns_per_write(std::uint16_t wire_version, int writes, int reps) {
     scfg.exec = rt::ExecModel::work_queue_async;
     scfg.max_wire_version = wire_version;
     rt::IonServer server(std::make_unique<rt::MemBackend>(), scfg);
-    auto [a, b] = rt::InProcTransport::make_pair();
+    auto [a, b] = rt::SocketTransport::make_socketpair().value();
     server.serve(std::move(a));
     rt::ClientConfig ccfg;
     ccfg.max_wire_version = wire_version;

@@ -62,7 +62,7 @@ double server_ns_per_write(int writes, int reps) {
     rt::ServerConfig cfg;
     cfg.exec = rt::ExecModel::work_queue_async;
     rt::IonServer server(std::make_unique<rt::MemBackend>(), cfg);
-    auto [a, b] = rt::InProcTransport::make_pair();
+    auto [a, b] = rt::SocketTransport::make_socketpair().value();
     server.serve(std::move(a));
     rt::Client client(std::move(b));
     (void)client.open(1, "bench");

@@ -40,7 +40,6 @@ namespace {
 using namespace iofwd;
 
 constexpr int kQuietTenants = 63;
-constexpr std::size_t kPipeBytes = 256_KiB;
 constexpr std::size_t kQuietWrite = 16_KiB;
 constexpr std::size_t kHotWrite = 64_KiB;
 constexpr int kHotWindow = 128;
@@ -90,7 +89,7 @@ double quiet_mibs(rt::SchedPolicy policy, bool with_hot, int writes, int reps) {
     std::vector<std::unique_ptr<rt::Client>> quiet;
     quiet.reserve(kQuietTenants);
     for (int c = 0; c < kQuietTenants; ++c) {
-      auto [srv, cl] = rt::InProcTransport::make_pair(kPipeBytes);
+      auto [srv, cl] = rt::SocketTransport::make_socketpair().value();
       server.serve(std::move(srv));
       rt::ClientConfig ccfg;
       ccfg.tenant = static_cast<std::uint64_t>(c) + 1;
@@ -106,7 +105,7 @@ double quiet_mibs(rt::SchedPolicy policy, bool with_hot, int writes, int reps) {
     std::atomic<bool> stop_hot{false};
     std::thread hot_thread;
     if (with_hot) {
-      auto [srv, cl] = rt::InProcTransport::make_pair(kPipeBytes);
+      auto [srv, cl] = rt::SocketTransport::make_socketpair().value();
       server.serve(std::move(srv));
       hot = std::make_unique<rt::AsyncClient>(std::move(cl), kHotWindow);
       if (hot->open(1000, "hot").get().code() != Errc::ok) {

@@ -61,8 +61,8 @@ void BM_TaskQueueBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskQueueBatched)->Arg(8)->Arg(64);
 
-void BM_InProcTransfer(benchmark::State& state) {
-  auto [a, b] = rt::InProcTransport::make_pair(1 << 20);
+void BM_SocketTransfer(benchmark::State& state) {
+  auto [a, b] = rt::SocketTransport::make_socketpair().value();
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<std::byte> src(n), dst(n);
   std::jthread echo([&b = *b, n](const std::stop_token& st) {
@@ -80,13 +80,13 @@ void BM_InProcTransfer(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * n));
 }
-BENCHMARK(BM_InProcTransfer)->Arg(4096)->Arg(1 << 20);
+BENCHMARK(BM_SocketTransfer)->Arg(4096)->Arg(1 << 20);
 
 void run_write_roundtrip(benchmark::State& state, rt::ExecModel exec) {
   rt::ServerConfig cfg;
   cfg.exec = exec;
   rt::IonServer server(std::make_unique<rt::MemBackend>(), cfg);
-  auto [se, ce] = rt::InProcTransport::make_pair(4 << 20);
+  auto [se, ce] = rt::SocketTransport::make_socketpair().value();
   server.serve(std::move(se));
   rt::Client client(std::move(ce));
   (void)client.open(1, "bench");

@@ -41,7 +41,9 @@ int main() {
   chain.add(std::make_shared<rt::DownsampleFilter>(/*stride=*/4, /*element_bytes=*/8));
   server.set_filter_chain(std::move(chain));
 
-  auto [se, ce] = rt::InProcTransport::make_pair();
+  auto pair = rt::SocketTransport::make_socketpair();
+  if (!pair.is_ok()) return 1;
+  auto [se, ce] = std::move(pair).value();
   server.serve(std::move(se));
   rt::Client client(std::move(ce));
 

@@ -52,7 +52,12 @@ int main(int argc, char** argv) {
   std::atomic<int> failures{0};
   for (int rank = 0; rank < procs; ++rank) {
     threads.emplace_back([&, rank] {
-      auto [server_end, client_end] = rt::InProcTransport::make_pair();
+      auto pair = rt::SocketTransport::make_socketpair();
+      if (!pair.is_ok()) {
+        ++failures;
+        return;
+      }
+      auto [server_end, client_end] = std::move(pair).value();
       server.serve(std::move(server_end));
       rt::Client client(std::move(client_end));
 

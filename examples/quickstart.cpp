@@ -1,8 +1,8 @@
 // Quickstart: the forwarding runtime in one file.
 //
 // Starts an ION server (work-queue + asynchronous data staging, the paper's
-// full mechanism) with an in-memory backend, connects a client over an
-// in-process transport, and walks through the API: open, staged writes,
+// full mechanism) with an in-memory backend, connects a client over a
+// socketpair, and walks through the API: open, staged writes,
 // deferred-error semantics, read-after-write consistency, close.
 //
 //   $ ./quickstart
@@ -24,10 +24,15 @@ int main() {
   cfg.bml_bytes = 64u << 20;
   rt::IonServer server(std::make_unique<rt::MemBackend>(), cfg);
 
-  // 2. A client connected over an in-process transport. (Use
+  // 2. A client connected over an AF_UNIX socketpair. (Use
   //    SocketTransport::connect_unix for a real deployment — see
   //    examples/ion_daemon.cpp.)
-  auto [server_end, client_end] = rt::InProcTransport::make_pair();
+  auto pair = rt::SocketTransport::make_socketpair();
+  if (!pair.is_ok()) {
+    std::fprintf(stderr, "socketpair failed: %s\n", pair.status().to_string().c_str());
+    return 1;
+  }
+  auto [server_end, client_end] = std::move(pair).value();
   server.serve(std::move(server_end));
   rt::Client client(std::move(client_end));
 

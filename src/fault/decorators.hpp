@@ -79,9 +79,8 @@ class FaultyStream final : public rt::ByteStream {
   // refunds nothing because the plan was consulted first; keeping the
   // blocking and non-blocking write paths consistent matters more than
   // refunds, and latency injections on a would_block still model a slow NIC.
-  [[nodiscard]] int read_readiness_fd() override { return inner_->read_readiness_fd(); }
+  [[nodiscard]] int readiness_fd() override { return inner_->readiness_fd(); }
   Result<std::size_t> read_some(void* buf, std::size_t n) override;
-  [[nodiscard]] int write_readiness_fd() override { return inner_->write_readiness_fd(); }
   Result<std::size_t> write_some(const void* buf, std::size_t n) override;
 
   [[nodiscard]] FaultPlan& plan() { return *plan_; }

@@ -8,6 +8,7 @@
 // throttled write does not step the hysteresis.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace iofwd::rt {
@@ -42,6 +43,37 @@ struct Admission {
   AdmitReason reason;
   friend bool operator==(const Admission&, const Admission&) = default;
 };
+
+// Every outcome admit() can return, one per row of DESIGN.md §10's table.
+// The server counts each under server.admit.<verdict>.<reason>.
+inline constexpr std::array<Admission, 6> kAdmissions{{
+    {Verdict::passthrough, AdmitReason::bml_wait},
+    {Verdict::inline_exec, AdmitReason::none},
+    {Verdict::sync_stage, AdmitReason::none},
+    {Verdict::sync_stage, AdmitReason::tenant_budget},
+    {Verdict::sync_stage, AdmitReason::queue_depth},
+    {Verdict::async_stage, AdmitReason::none},
+}};
+
+[[nodiscard]] inline const char* to_string(Verdict v) {
+  switch (v) {
+    case Verdict::inline_exec: return "inline_exec";
+    case Verdict::sync_stage: return "sync_stage";
+    case Verdict::async_stage: return "async_stage";
+    case Verdict::passthrough: return "passthrough";
+  }
+  return "?";
+}
+
+[[nodiscard]] inline const char* to_string(AdmitReason r) {
+  switch (r) {
+    case AdmitReason::none: return "none";
+    case AdmitReason::bml_wait: return "bml_wait";
+    case AdmitReason::tenant_budget: return "tenant_budget";
+    case AdmitReason::queue_depth: return "queue_depth";
+  }
+  return "?";
+}
 
 // within_budget() answers (and debits) the writer's tenant budget;
 // queue_deep() steps the queue-depth hysteresis and returns its mode.

@@ -70,6 +70,10 @@ IonServer::IonServer(std::unique_ptr<IoBackend> backend, ServerConfig cfg)
       g_bml_high_watermark_(reg_->gauge("server.bml_high_watermark")) {
   assert(backend_ && "IonServer needs a backend");
   reg_->gauge("server.sched.policy").set(static_cast<std::int64_t>(cfg_.sched));
+  for (std::size_t i = 0; i < kAdmissions.size(); ++i) {
+    c_admit_[i] = &reg_->counter(std::string("server.admit.") + to_string(kAdmissions[i].verdict) +
+                                 "." + to_string(kAdmissions[i].reason));
+  }
   if (cfg_.qos.enabled()) qos_ = std::make_unique<QosGovernor>(cfg_.qos, *reg_);
   if (cfg_.bb_bytes > 0) {
     bb::BurstBufferConfig bcfg;
@@ -118,12 +122,8 @@ void IonServer::serve(std::unique_ptr<ByteStream> stream) {
     conn->stream->close();
     return;
   }
-  conn->rfd = conn->stream->read_readiness_fd();
-  // Resolve the write shim up front: InProcPipe creates its eventfd lazily,
-  // and doing it here (single-threaded, pre-traffic) keeps the hot path free
-  // of setup work.
-  conn->wfd = conn->stream->write_readiness_fd();
-  if (conn->rfd >= 0 && conn->wfd >= 0) {
+  conn->poll_fd = conn->stream->readiness_fd();
+  if (conn->poll_fd >= 0) {
     ensure_lanes_locked();
     if (!lanes_.empty()) {
       // Least-connections balancing across the lane pool (the paper's
@@ -143,8 +143,7 @@ void IonServer::serve(std::unique_ptr<ByteStream> stream) {
         lane->conns.emplace(key, conn);
       }
       lane->n_conns.fetch_add(1, std::memory_order_relaxed);
-      if (lane->loop.add(conn->rfd, key).is_ok()) {
-        conns_.push_back(conn);
+      if (lane->loop.add(conn->poll_fd, key).is_ok()) {
         lane->c_connections.inc();
         lane->g_open_connections.set(
             static_cast<std::int64_t>(lane->n_conns.load(std::memory_order_relaxed)));
@@ -160,7 +159,7 @@ void IonServer::serve(std::unique_ptr<ByteStream> stream) {
   }
   // Refused: the stream cannot be polled, or no lane could take it.
   c_conns_refused_.inc();
-  if (fr_) fr_->record("conn_refused", conn->rfd, 0, 0, static_cast<int>(Errc::unsupported));
+  if (fr_) fr_->record("conn_refused", conn->poll_fd, 0, 0, static_cast<int>(Errc::unsupported));
   conn->stream->close();
 }
 
@@ -223,14 +222,18 @@ void IonServer::crash_stop() {
 
 void IonServer::teardown_for_stop() {
   if (listener_) listener_->close();
+  // The lanes' maps hold every live connection; a dropped one left its map
+  // (and closed its stream) already. stopping_ is set and serve() checks it
+  // under threads_mu_, so lanes_ is immutable from here on.
   {
     std::scoped_lock lock(threads_mu_);
-    for (auto& c : conns_) c->stream->close();
+    for (auto& lane : lanes_) {
+      std::scoped_lock lane_lock(lane->mu);
+      for (auto& [key, c] : lane->conns) c->stream->close();
+    }
   }
   // Join receiver lanes before closing the queue: a lane mid-handler may
   // still depend on workers making progress (BML releases, drain barriers).
-  // stopping_ is set and serve() checks it under threads_mu_, so lanes_ is
-  // immutable from here on.
   for (auto& lane : lanes_) lane->loop.close();
   for (auto& lane : lanes_) {
     if (lane->thread.joinable()) lane->thread.join();
@@ -245,9 +248,9 @@ void IonServer::teardown_for_stop() {
   // Every producer is joined: discard undeliverable queued replies so their
   // BML leases and burst-buffer pins return before the pool/cache teardown
   // invariants (bml_in_use == 0, cached bytes drainable) are checked.
-  {
-    std::scoped_lock lock(threads_mu_);
-    for (auto& c : conns_) {
+  for (auto& lane : lanes_) {
+    std::scoped_lock lane_lock(lane->mu);
+    for (auto& [key, c] : lane->conns) {
       std::scoped_lock lk(c->send_mu);
       abort_send_queue_locked(*c);
     }

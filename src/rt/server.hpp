@@ -145,9 +145,10 @@ class IonServer {
   // Serve a connected stream: register it with the least-loaded receiver
   // lane (DESIGN.md §13). Its replies go through the asynchronous send path:
   // bounded per-connection gather queues drained by the lane under EPOLLOUT
-  // (DESIGN.md §15). A stream without both a read and a write readiness fd,
-  // or one no lane can register (out of fds), is refused: closed, recorded
-  // in the flight recorder and counted in server.conns_refused.
+  // (DESIGN.md §15). A stream without a readiness fd, or one no lane can
+  // register (out of fds), is refused: closed, recorded in the flight
+  // recorder and counted in server.conns_refused. The lane owns the
+  // connection; dropping it (EOF, error) releases the stream and its fd.
   void serve(std::unique_ptr<ByteStream> stream);
 
   // Accept clients from a listener (UNIX or TCP) until stop() (spawns a
@@ -261,8 +262,7 @@ class IonServer {
     RxPending rx;
     Lane* lane = nullptr;        // the lane serving this connection
     std::uint64_t lane_key = 0;  // epoll registration key within that lane
-    int rfd = -1;                // cached stream->read_readiness_fd()
-    int wfd = -1;                // cached stream->write_readiness_fd()
+    int poll_fd = -1;            // cached stream->readiness_fd()
     // Asynchronous send queue (DESIGN.md §15), guarded by send_mu. Entries
     // are drained by whoever holds send_mu — enqueuer or lane thread — with
     // gathered writev_some calls; on would_block the connection arms write
@@ -270,8 +270,7 @@ class IonServer {
     std::mutex send_mu;
     std::deque<SendEntry> sendq;
     std::uint64_t sendq_bytes = 0;    // unsent bytes queued (hdr + payload)
-    bool epollout_armed = false;      // same-fd: registration is read_write
-    bool shim_registered = false;     // distinct write shim fd added to loop
+    bool epollout_armed = false;      // registration is read_write
     bool peer_gone = false;           // sends are futile; drop new replies
   };
 
@@ -363,7 +362,7 @@ class IonServer {
   void arm_write_interest_locked(ClientConn& conn);
   // Discard every queued entry (releases leases) and mark the peer gone.
   void abort_send_queue_locked(ClientConn& conn);
-  // Lane EPOLLOUT/shim-tick dispatch: resume the drain for this connection.
+  // Lane EPOLLOUT dispatch: resume the drain for this connection.
   void on_send_ready(ClientConn& conn);
   // Block (politely, with poll) until the queue flushes — used for the
   // shutdown goodbye so the reply beats the connection teardown.
@@ -400,6 +399,8 @@ class IonServer {
   obs::Counter& c_degraded_sync_writes_;
   obs::Counter& c_degraded_enters_;
   obs::Counter& c_degraded_ns_;
+  // server.admit.<verdict>.<reason>, one per entry of kAdmissions.
+  std::array<obs::Counter*, kAdmissions.size()> c_admit_{};
   obs::Counter& c_hellos_;
   obs::Counter& c_header_crc_errors_;
   obs::Counter& c_payload_crc_errors_;
@@ -427,7 +428,6 @@ class IonServer {
 
   std::mutex threads_mu_;
   std::vector<std::jthread> threads_;
-  std::vector<std::shared_ptr<ClientConn>> conns_;
   std::unique_ptr<Listener> listener_;
   std::atomic<bool> stopping_{false};
   // Tasks popped from the queue but not yet executed to completion; drain()

@@ -21,12 +21,6 @@ inline std::uint64_t us_since(std::chrono::steady_clock::time_point start) {
                                         .count());
 }
 
-// Epoll keys with this bit set are write-readiness shim registrations (a
-// stream whose write_readiness_fd() differs from its read fd); the low bits
-// are the owning connection's lane key. Connection keys count up from 1 and
-// never reach the bit; the wake key (~0) is handled before dispatch.
-inline constexpr std::uint64_t kSendKeyBit = 1ull << 63;
-
 // A receiver lane (DESIGN.md §13): one epoll event loop multiplexing many
 // connections on one thread — the paper's poll-based worker structure applied
 // to the receive side. Connections are keyed by an opaque 64-bit id; serve()

@@ -1,6 +1,7 @@
 // IonServer receive stage (DESIGN.md §13): receiver lanes, frame assembly
 // (on_header/on_frame) and the admission of writes and reads into
 // the execute stage.
+#include <algorithm>
 #include <optional>
 
 #include "core/log.hpp"
@@ -48,7 +49,7 @@ void IonServer::lane_loop(Lane& lane) {
     if (ready.empty()) continue;  // bare wake
     const auto t0 = std::chrono::steady_clock::now();
     for (const Event& ev : ready) {
-      const std::uint64_t key = ev.key & ~kSendKeyBit;
+      const std::uint64_t key = ev.key;
       std::shared_ptr<ClientConn> conn;
       {
         std::scoped_lock lock(lane.mu);
@@ -56,12 +57,6 @@ void IonServer::lane_loop(Lane& lane) {
         if (it == lane.conns.end()) continue;  // dropped earlier this pass
         conn = it->second;
       }
-      if ((ev.key & kSendKeyBit) != 0) {
-        // Write-readiness shim tick (eventfd): resume the send drain only.
-        on_send_ready(*conn);
-        continue;
-      }
-      // Same-fd streams (sockets) deliver EPOLLOUT on the connection key.
       if (ev.writable) on_send_ready(*conn);
       if (!ev.readable) continue;
       // Edge-triggered contract: drain to would_block before re-arming.
@@ -97,21 +92,16 @@ void IonServer::lane_loop(Lane& lane) {
 }
 
 void IonServer::drop_lane_conn(Lane& lane, std::uint64_t key, ClientConn& conn, Errc reason) {
-  if (conn.rfd >= 0) lane.loop.remove(conn.rfd);
+  if (conn.poll_fd >= 0) lane.loop.remove(conn.poll_fd);
   {
     // Undeliverable replies die with the connection; their leases return.
     std::scoped_lock lk(conn.send_mu);
-    if (conn.shim_registered && conn.wfd >= 0) {
-      lane.loop.remove(conn.wfd);
-      conn.shim_registered = false;
-    }
     abort_send_queue_locked(conn);
   }
-  // Dropping a client (corrupt header, protocol violation, peer EOF) must
-  // close our endpoint too: an in-process peer blocked in read_exact only
-  // wakes when the shared pipe is marked closed — without this, a client
-  // waiting for a reply to its (corrupted, never-executed) request would
-  // hang instead of redialing.
+  // Dropping a client (corrupt header, protocol violation, peer EOF) shuts
+  // our endpoint down at once: a client blocked in read_exact for a reply to
+  // its (corrupted, never-executed) request wakes with EOF and redials,
+  // even while a queued task still holds this connection (and its fd) open.
   conn.stream->close();
   conn.assembler.reset();
   conn.rx = RxPending{};  // releases any staged BML lease / heap payload
@@ -299,6 +289,8 @@ void IonServer::handle_write(const std::shared_ptr<ClientConn>& conn, RxPending&
       cfg_.exec, rx.staging == RxPending::Staging::bml,
       [&] { return !qos_ || qos_->admit(meta.tenant, req.payload_len); },
       [&] { return degraded_now(queue_.size()); });
+  const auto row = std::find(kAdmissions.begin(), kAdmissions.end(), adm);
+  c_admit_[static_cast<std::size_t>(row - kAdmissions.begin())]->inc();
   Task t{.conn = conn, .req = req, .payload = std::move(rx.bml), .verdict = adm.verdict,
          .arrival = arrival};
 

@@ -113,10 +113,10 @@ void IonServer::drain_send_queue_locked(ClientConn& conn) {
       }
     }
   }
-  // Queue drained: same-fd connections drop write interest so an idle open
-  // socket stops waking the lane on every send-buffer transition.
-  if (conn.epollout_armed && conn.wfd == conn.rfd) {
-    if (lane.loop.modify(conn.rfd, conn.lane_key, Interest::read).is_ok()) {
+  // Queue drained: drop write interest so an idle open socket stops waking
+  // the lane on every send-buffer transition.
+  if (conn.epollout_armed) {
+    if (lane.loop.modify(conn.poll_fd, conn.lane_key, Interest::read).is_ok()) {
       conn.epollout_armed = false;
     }
   }
@@ -125,23 +125,13 @@ void IonServer::drain_send_queue_locked(ClientConn& conn) {
 void IonServer::arm_write_interest_locked(ClientConn& conn) {
   Lane& lane = *conn.lane;
   lane.c_send_would_blocks.inc();
-  if (conn.wfd == conn.rfd) {
-    // Socket-style: one fd carries both directions; widen the registration.
-    // EPOLL_CTL_MOD re-evaluates readiness, so a buffer that drained between
-    // our would_block and this call still delivers an immediate EPOLLOUT.
-    if (conn.epollout_armed) return;
-    if (lane.loop.modify(conn.rfd, conn.lane_key, Interest::read_write).is_ok()) {
-      conn.epollout_armed = true;
-      return;
-    }
-  } else {
-    // Shim-style (InProcPipe): a separate eventfd ticks when the full pipe
-    // gains space. Registered once, read-interest, keyed with the send bit.
-    if (conn.shim_registered) return;
-    if (lane.loop.add(conn.wfd, conn.lane_key | kSendKeyBit).is_ok()) {
-      conn.shim_registered = true;
-      return;
-    }
+  // One fd carries both directions; widen the registration. EPOLL_CTL_MOD
+  // re-evaluates readiness, so a buffer that drained between our would_block
+  // and this call still delivers an immediate EPOLLOUT.
+  if (conn.epollout_armed) return;
+  if (lane.loop.modify(conn.poll_fd, conn.lane_key, Interest::read_write).is_ok()) {
+    conn.epollout_armed = true;
+    return;
   }
   // Could not arm (fd limit?): the reply cannot ever complete — drop it.
   abort_send_queue_locked(conn);
@@ -172,11 +162,10 @@ void IonServer::flush_send_queue_blocking(ClientConn& conn) {
       drain_send_queue_locked(conn);
       if (conn.sendq.empty() || conn.peer_gone) return;
     }
-    // Still blocked: wait for write readiness off-lock. Same-fd streams wait
-    // for POLLOUT on the fd itself; shim fds tick readable.
+    // Still blocked: wait for write readiness off-lock.
     ::pollfd p{};
-    p.fd = conn.wfd;
-    p.events = static_cast<short>(conn.wfd == conn.rfd ? POLLOUT : POLLIN);
+    p.fd = conn.poll_fd;
+    p.events = POLLOUT;
     (void)::poll(&p, 1, 10);
   }
 }

@@ -4,13 +4,11 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -36,164 +34,6 @@ Result<std::size_t> ByteStream::writev_some(std::span<const std::span<const std:
     if (r.value() < s.size()) return total;
   }
   return total;
-}
-
-// ---------------------------------------------------------------------------
-// InProcPipe
-// ---------------------------------------------------------------------------
-
-InProcPipe::~InProcPipe() {
-  if (event_fd_ >= 0) ::close(event_fd_);
-  if (write_event_fd_ >= 0) ::close(write_event_fd_);
-}
-
-void InProcPipe::signal_locked() {
-  if (event_fd_ < 0) return;
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t r = ::write(event_fd_, &one, sizeof one);
-}
-
-void InProcPipe::signal_write_locked() {
-  if (write_event_fd_ < 0) return;
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t r = ::write(write_event_fd_, &one, sizeof one);
-}
-
-int InProcPipe::read_readiness_fd() {
-  std::scoped_lock lock(mu_);
-  if (event_fd_ < 0) {
-    event_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    // Bytes (or a close) may already be buffered: signal immediately so an
-    // edge-triggered loop that registers this fd now still wakes up.
-    if (count_ > 0 || closed_) signal_locked();
-  }
-  return event_fd_;
-}
-
-int InProcPipe::write_readiness_fd() {
-  std::scoped_lock lock(mu_);
-  if (write_event_fd_ < 0) {
-    write_event_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    // Space may already be free (or the pipe closed): signal immediately so
-    // an edge-triggered loop that registers this fd now still wakes up.
-    if (count_ < capacity_ || closed_) signal_write_locked();
-  }
-  return write_event_fd_;
-}
-
-Result<std::size_t> InProcPipe::read_some(void* buf, std::size_t n) {
-  auto* out = static_cast<std::byte*>(buf);
-  std::scoped_lock lock(mu_);
-  if (ring_.empty()) ring_.resize(capacity_);
-  if (count_ == 0) {
-    if (closed_) return Status(Errc::shutdown, "pipe closed by peer");
-    // Drain the eventfd under mu_: writers also signal under mu_, so any
-    // byte arriving after this drain re-ticks the fd — no lost wakeups.
-    if (event_fd_ >= 0) {
-      std::uint64_t v = 0;
-      [[maybe_unused]] const ssize_t r = ::read(event_fd_, &v, sizeof v);
-    }
-    return Status(Errc::would_block, "pipe empty");
-  }
-  const bool was_full = count_ == capacity_;
-  const std::size_t take = std::min(n, count_);
-  const std::size_t first = std::min(take, capacity_ - head_);
-  std::memcpy(out, ring_.data() + head_, first);
-  if (take > first) std::memcpy(out + first, ring_.data(), take - first);
-  head_ = (head_ + take) % capacity_;
-  count_ -= take;
-  cv_.notify_all();  // writers may be waiting for space
-  if (was_full) signal_write_locked();  // a would_block write can retry now
-  return take;
-}
-
-Status InProcPipe::read_exact(void* buf, std::size_t n) {
-  auto* out = static_cast<std::byte*>(buf);
-  std::unique_lock lock(mu_);
-  if (ring_.empty()) ring_.resize(capacity_);
-  std::size_t got = 0;
-  while (got < n) {
-    cv_.wait(lock, [&] { return count_ > 0 || closed_; });
-    if (count_ == 0 && closed_) {
-      return Status(Errc::shutdown, "pipe closed by peer");
-    }
-    const bool was_full = count_ == capacity_;
-    const std::size_t take = std::min(n - got, count_);
-    const std::size_t first = std::min(take, capacity_ - head_);
-    std::memcpy(out + got, ring_.data() + head_, first);
-    if (take > first) std::memcpy(out + got + first, ring_.data(), take - first);
-    head_ = (head_ + take) % capacity_;
-    count_ -= take;
-    got += take;
-    cv_.notify_all();  // writers may be waiting for space
-    if (was_full) signal_write_locked();  // a would_block write can retry now
-  }
-  return Status::ok();
-}
-
-Status InProcPipe::write_all(const void* buf, std::size_t n) {
-  const auto* in = static_cast<const std::byte*>(buf);
-  std::unique_lock lock(mu_);
-  if (ring_.empty()) ring_.resize(capacity_);
-  std::size_t put = 0;
-  while (put < n) {
-    cv_.wait(lock, [&] { return count_ < capacity_ || closed_; });
-    if (closed_) return Status(Errc::shutdown, "pipe closed");
-    const std::size_t space = capacity_ - count_;
-    const std::size_t take = std::min(n - put, space);
-    const std::size_t tail = (head_ + count_) % capacity_;
-    const std::size_t first = std::min(take, capacity_ - tail);
-    std::memcpy(ring_.data() + tail, in + put, first);
-    if (take > first) std::memcpy(ring_.data(), in + put + first, take - first);
-    count_ += take;
-    put += take;
-    cv_.notify_all();
-    signal_locked();  // wake an event-loop reader, if one is attached
-  }
-  return Status::ok();
-}
-
-Result<std::size_t> InProcPipe::write_some(const void* buf, std::size_t n) {
-  const auto* in = static_cast<const std::byte*>(buf);
-  std::scoped_lock lock(mu_);
-  if (closed_) return Status(Errc::shutdown, "pipe closed");
-  if (ring_.empty()) ring_.resize(capacity_);
-  if (count_ == capacity_) {
-    // Drain the write eventfd under mu_: readers signal full -> not-full
-    // transitions under mu_ too, so any space freed after this drain
-    // re-ticks the fd — no lost wakeups.
-    if (write_event_fd_ >= 0) {
-      std::uint64_t v = 0;
-      [[maybe_unused]] const ssize_t r = ::read(write_event_fd_, &v, sizeof v);
-    }
-    return Status(Errc::would_block, "pipe full");
-  }
-  const std::size_t take = std::min(n, capacity_ - count_);
-  const std::size_t tail = (head_ + count_) % capacity_;
-  const std::size_t first = std::min(take, capacity_ - tail);
-  std::memcpy(ring_.data() + tail, in, first);
-  if (take > first) std::memcpy(ring_.data(), in + first, take - first);
-  count_ += take;
-  cv_.notify_all();
-  signal_locked();  // wake an event-loop reader, if one is attached
-  return take;
-}
-
-void InProcPipe::close() {
-  std::scoped_lock lock(mu_);
-  closed_ = true;
-  cv_.notify_all();
-  signal_locked();        // an event-loop reader must observe EOF promptly
-  signal_write_locked();  // and a parked event-loop writer must observe it too
-}
-
-std::pair<std::unique_ptr<InProcTransport>, std::unique_ptr<InProcTransport>>
-InProcTransport::make_pair(std::size_t capacity) {
-  auto ab = std::make_shared<InProcPipe>(capacity);
-  auto ba = std::make_shared<InProcPipe>(capacity);
-  auto a = std::unique_ptr<InProcTransport>(new InProcTransport(ba, ab));
-  auto b = std::unique_ptr<InProcTransport>(new InProcTransport(ab, ba));
-  return {std::move(a), std::move(b)};
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,10 @@
 // Byte-stream transports for the real forwarding runtime.
 //
 // The server and client speak FrameHeader-framed messages over a reliable
-// byte stream. Two transports are provided:
-//
-//   * InProcTransport — a pair of bounded byte queues guarded by mutex +
-//     condition variables. Used by tests and the in-process examples; it
-//     exercises the exact same framing and threading paths as sockets.
-//   * SocketTransport — POSIX stream sockets (socketpair(2) or AF_UNIX /
-//     AF_INET via the listener below), for running the ION server as a real
-//     daemon on a Linux cluster.
+// byte stream. There is one transport, SocketTransport: POSIX stream sockets
+// from socketpair(2) (tests, benches and in-process examples), an AF_UNIX
+// listener (same-host daemons) or a TCP listener (between real hosts). Every
+// stream is a kernel fd, so the server's epoll lanes poll one readiness shape.
 //
 // All streams are thread-compatible in the usual split sense: one reader
 // thread and one writer thread may operate concurrently; two concurrent
@@ -17,15 +13,12 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/status.hpp"
 
@@ -54,11 +47,16 @@ class ByteStream {
 
   // --- Non-blocking readiness surface (receiver/send lanes, §13/§15) -----
   //
-  // A stream that can participate in an epoll event loop exposes readiness
-  // fds here: edge-triggered EPOLLIN on read_readiness_fd() means
-  // read_some() will make progress. Streams without readiness support
-  // return -1, and IonServer::serve() refuses them.
-  [[nodiscard]] virtual int read_readiness_fd() { return -1; }
+  // A stream that can participate in an epoll event loop exposes one kernel
+  // fd here: edge-triggered EPOLLIN on it means read_some() will make
+  // progress, EPOLLOUT means write_some() will. Streams without readiness
+  // support return -1, and IonServer::serve() refuses them.
+  [[nodiscard]] virtual int readiness_fd() { return -1; }
+  // The two-fd names of the same fd, kept only so decorators written
+  // against them (fwdbench's TimedStream) still compile. The runtime never
+  // calls them; the lanes use readiness_fd().
+  virtual int read_readiness_fd() { return readiness_fd(); }
+  virtual int write_readiness_fd() { return readiness_fd(); }
   // Reads up to n bytes without blocking. Returns the count read (> 0),
   // would_block when no bytes are available right now, or shutdown at EOF.
   // The edge-triggered contract: callers must loop until would_block before
@@ -68,17 +66,9 @@ class ByteStream {
     (void)n;
     return Status(Errc::unsupported, "stream has no non-blocking read");
   }
-
-  // Write-side readiness, symmetric with the read side. Two shapes exist:
-  //   * write_readiness_fd() == read_readiness_fd() (sockets): poll EPOLLOUT
-  //     on that fd to learn when write_some() can make progress again.
-  //   * a distinct fd (the in-proc pipe's eventfd shim): poll it for EPOLLIN;
-  //     a tick means space was freed after a would_block.
-  // -1 means the stream has no non-blocking write (not servable either).
-  [[nodiscard]] virtual int write_readiness_fd() { return -1; }
   // Writes up to n bytes without blocking. Returns the count accepted (> 0),
-  // would_block when the stream is full (which re-arms the write readiness
-  // fd), or shutdown once the peer is gone.
+  // would_block when the stream is full (EPOLLOUT on the readiness fd then
+  // signals space), or shutdown once the peer is gone.
   virtual Result<std::size_t> write_some(const void* buf, std::size_t n) {
     (void)buf;
     (void)n;
@@ -90,76 +80,6 @@ class ByteStream {
   // The default walks write_some() span by span; SocketTransport overrides
   // with a single sendmsg(2) so a framed reply leaves in one syscall.
   virtual Result<std::size_t> writev_some(std::span<const std::span<const std::byte>> iov);
-};
-
-// ---------------------------------------------------------------------------
-// In-process transport
-// ---------------------------------------------------------------------------
-
-// One direction of an in-process duplex pipe.
-class InProcPipe {
- public:
-  explicit InProcPipe(std::size_t capacity = 1 << 20) : capacity_(capacity) {}
-  ~InProcPipe();
-
-  Status read_exact(void* buf, std::size_t n);
-  Status write_all(const void* buf, std::size_t n);
-  void close();
-
-  // Readiness shim: an eventfd signalled whenever bytes (or close) arrive,
-  // created lazily on first request so pipes that never join an event loop
-  // (the client-read direction) cost no fd. Returns -1 if eventfd(2) fails.
-  [[nodiscard]] int read_readiness_fd();
-  Result<std::size_t> read_some(void* buf, std::size_t n);
-
-  // Write-side shim, symmetric: an eventfd ticked when the ring transitions
-  // full -> not-full (and on close), i.e. exactly when a write_some that
-  // reported would_block can make progress again.
-  [[nodiscard]] int write_readiness_fd();
-  Result<std::size_t> write_some(const void* buf, std::size_t n);
-
- private:
-  void signal_locked();        // mu_ held: tick the read eventfd if one exists
-  void signal_write_locked();  // mu_ held: tick the write eventfd if one exists
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::byte> ring_;
-  std::size_t capacity_;
-  std::size_t head_ = 0;  // ring_ is lazily sized to capacity_
-  std::size_t count_ = 0;
-  bool closed_ = false;
-  int event_fd_ = -1;        // lazily created by read_readiness_fd()
-  int write_event_fd_ = -1;  // lazily created by write_readiness_fd()
-};
-
-class InProcTransport final : public ByteStream {
- public:
-  // Creates a connected pair (a, b): bytes written to a are read from b and
-  // vice versa.
-  static std::pair<std::unique_ptr<InProcTransport>, std::unique_ptr<InProcTransport>> make_pair(
-      std::size_t capacity = 1 << 20);
-
-  Status read_exact(void* buf, std::size_t n) override { return in_->read_exact(buf, n); }
-  Status write_all(const void* buf, std::size_t n) override { return out_->write_all(buf, n); }
-  void close() override {
-    in_->close();
-    out_->close();
-  }
-  [[nodiscard]] int read_readiness_fd() override { return in_->read_readiness_fd(); }
-  Result<std::size_t> read_some(void* buf, std::size_t n) override {
-    return in_->read_some(buf, n);
-  }
-  [[nodiscard]] int write_readiness_fd() override { return out_->write_readiness_fd(); }
-  Result<std::size_t> write_some(const void* buf, std::size_t n) override {
-    return out_->write_some(buf, n);
-  }
-
- private:
-  InProcTransport(std::shared_ptr<InProcPipe> in, std::shared_ptr<InProcPipe> out)
-      : in_(std::move(in)), out_(std::move(out)) {}
-  std::shared_ptr<InProcPipe> in_;
-  std::shared_ptr<InProcPipe> out_;
 };
 
 // ---------------------------------------------------------------------------
@@ -191,14 +111,13 @@ class SocketTransport final : public ByteStream {
   Status write_all(const void* buf, std::size_t n) override;
   void close() override;
 
-  // Sockets are natively pollable in both directions: the same fd serves
-  // EPOLLIN and EPOLLOUT interest. The fd itself stays blocking — both
-  // read_some (recv) and write_some/writev_some (send/sendmsg) pass
-  // MSG_DONTWAIT per call, so write_all keeps its blocking compat semantics
-  // while the server's send queues get would_block-based backpressure.
-  [[nodiscard]] int read_readiness_fd() override { return fd_.load(); }
+  // The socket fd is the readiness fd for both directions. The fd itself
+  // stays blocking — read_some (recv) and write_some/writev_some
+  // (send/sendmsg) pass MSG_DONTWAIT per call, so write_all keeps its
+  // blocking semantics while the server's send queues get would_block-based
+  // backpressure.
+  [[nodiscard]] int readiness_fd() override { return fd_.load(); }
   Result<std::size_t> read_some(void* buf, std::size_t n) override;
-  [[nodiscard]] int write_readiness_fd() override { return fd_.load(); }
   Result<std::size_t> write_some(const void* buf, std::size_t n) override;
   Result<std::size_t> writev_some(std::span<const std::span<const std::byte>> iov) override;
 

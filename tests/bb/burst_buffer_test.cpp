@@ -420,7 +420,7 @@ TEST(BurstBuffer, ComposesWithServerEndToEnd) {
   rt::IonServer server(std::move(mem_owned), cfg);
   ASSERT_NE(server.burst_buffer(), nullptr);
 
-  auto [se, ce] = rt::InProcTransport::make_pair();
+  auto [se, ce] = rt::SocketTransport::make_socketpair().value();
   server.serve(std::move(se));
   rt::Client client(std::move(ce));
   ASSERT_TRUE(client.open(1, "ckpt").is_ok());

@@ -36,7 +36,7 @@ TEST(Deadline, ServerBouncesExpiredOpWithoutExecuting) {
   rt::IonServer server(
       std::make_unique<FaultyBackend>(std::make_unique<rt::MemBackend>(), plan), cfg);
 
-  auto [s, c] = rt::InProcTransport::make_pair();
+  auto [s, c] = rt::SocketTransport::make_socketpair().value();
   server.serve(std::move(s));
   rt::ClientConfig ccfg;
   ccfg.deadline_ms = 20;
@@ -56,7 +56,7 @@ TEST(Deadline, UnexpiredOpsAreUnaffected) {
   rt::ServerConfig cfg;
   cfg.exec = rt::ExecModel::work_queue_async;
   rt::IonServer server(std::make_unique<rt::MemBackend>(), cfg);
-  auto [s, c] = rt::InProcTransport::make_pair();
+  auto [s, c] = rt::SocketTransport::make_socketpair().value();
   server.serve(std::move(s));
   rt::ClientConfig ccfg;
   ccfg.deadline_ms = 10'000;  // generous: nothing should expire
@@ -76,7 +76,7 @@ TEST(Deadline, UnexpiredOpsAreUnaffected) {
 TEST(Deadline, ClientWatchdogKillsHungRoundtrip) {
   // No server behind the pair: the roundtrip would block forever without
   // the watchdog.
-  auto [s, c] = rt::InProcTransport::make_pair();
+  auto [s, c] = rt::SocketTransport::make_socketpair().value();
   rt::ClientConfig ccfg;
   ccfg.roundtrip_timeout_ms = 50;
   rt::Client client(std::move(c), ccfg);
@@ -92,7 +92,7 @@ TEST(Deadline, ClientWatchdogKillsHungRoundtrip) {
 
 TEST(Deadline, WatchdogDoesNotFireOnFastRoundtrips) {
   rt::IonServer server(std::make_unique<rt::MemBackend>(), {});
-  auto [s, c] = rt::InProcTransport::make_pair();
+  auto [s, c] = rt::SocketTransport::make_socketpair().value();
   server.serve(std::move(s));
   rt::ClientConfig ccfg;
   ccfg.roundtrip_timeout_ms = 5'000;

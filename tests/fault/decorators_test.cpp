@@ -74,7 +74,7 @@ TEST(FaultyBackend, InjectedLatencyIsObservable) {
 }
 
 TEST(FaultyStream, ByteBudgetCutDeliversPrefixThenDropsLine) {
-  auto [a, b] = rt::InProcTransport::make_pair();
+  auto [a, b] = rt::SocketTransport::make_socketpair().value();
   FaultyStream faulty(std::move(a), /*cut_after_write_bytes=*/10);
 
   // 6 bytes fit the budget and arrive intact.
@@ -98,7 +98,7 @@ TEST(FaultyStream, ByteBudgetCutDeliversPrefixThenDropsLine) {
 }
 
 TEST(FaultyStream, PlanDrivenReadFaultClosesInner) {
-  auto [a, b] = rt::InProcTransport::make_pair();
+  auto [a, b] = rt::SocketTransport::make_socketpair().value();
   auto plan = std::make_shared<FaultPlan>();
   plan->add({.op = OpKind::stream_read, .nth = 1, .error = Errc::io_error});
   FaultyStream faulty(std::move(a), plan);
@@ -113,7 +113,7 @@ TEST(FaultyStream, PlanDrivenReadFaultClosesInner) {
 }
 
 TEST(FaultyStream, PlanDrivenWriteFaultSkipsTheWire) {
-  auto [a, b] = rt::InProcTransport::make_pair();
+  auto [a, b] = rt::SocketTransport::make_socketpair().value();
   auto plan = std::make_shared<FaultPlan>();
   plan->add({.op = OpKind::stream_write, .nth = 2, .error = Errc::shutdown});
   FaultyStream faulty(std::move(a), plan);
@@ -141,7 +141,7 @@ int bit_difference(std::span<const std::byte> a, std::span<const std::byte> b) {
 }
 
 TEST(FaultyStream, BitFlipDamagesExactlyOneBitInFlight) {
-  auto [a, b] = rt::InProcTransport::make_pair();
+  auto [a, b] = rt::SocketTransport::make_socketpair().value();
   auto plan = std::make_shared<FaultPlan>(/*seed=*/7);
   plan->add({.op = OpKind::stream_write, .action = FaultAction::bit_flip, .nth = 2});
   FaultyStream faulty(std::move(a), plan);
@@ -163,7 +163,7 @@ TEST(FaultyStream, BitFlipDamagesExactlyOneBitInFlight) {
 }
 
 TEST(FaultyStream, BitFlipOnReadDamagesTheReceivedCopy) {
-  auto [a, b] = rt::InProcTransport::make_pair();
+  auto [a, b] = rt::SocketTransport::make_socketpair().value();
   auto plan = std::make_shared<FaultPlan>(/*seed=*/8);
   plan->add({.op = OpKind::stream_read, .action = FaultAction::bit_flip, .nth = 1});
   FaultyStream faulty(std::move(a), plan);
@@ -176,7 +176,7 @@ TEST(FaultyStream, BitFlipOnReadDamagesTheReceivedCopy) {
 }
 
 TEST(FaultyStream, GarbageScribblesABoundedWindow) {
-  auto [a, b] = rt::InProcTransport::make_pair();
+  auto [a, b] = rt::SocketTransport::make_socketpair().value();
   auto plan = std::make_shared<FaultPlan>(/*seed=*/9);
   plan->add({.op = OpKind::stream_write, .action = FaultAction::garbage, .nth = 1});
   FaultyStream faulty(std::move(a), plan);
@@ -192,7 +192,7 @@ TEST(FaultyStream, GarbageScribblesABoundedWindow) {
 }
 
 TEST(FaultyStream, TruncateDeliversPrefixThenDropsLine) {
-  auto [a, b] = rt::InProcTransport::make_pair();
+  auto [a, b] = rt::SocketTransport::make_socketpair().value();
   auto plan = std::make_shared<FaultPlan>(/*seed=*/10);
   plan->add({.op = OpKind::stream_write, .action = FaultAction::truncate, .nth = 1});
   FaultyStream faulty(std::move(a), plan);
@@ -208,7 +208,7 @@ TEST(FaultyStream, TruncateDeliversPrefixThenDropsLine) {
 
 TEST(FaultyStream, CorruptionIsDeterministicPerSeed) {
   auto run = [](std::uint64_t seed) {
-    auto [a, b] = rt::InProcTransport::make_pair();
+    auto [a, b] = rt::SocketTransport::make_socketpair().value();
     auto plan = std::make_shared<FaultPlan>(seed);
     plan->add({.op = OpKind::stream_write, .action = FaultAction::bit_flip,
                .probability = 1.0});

@@ -141,6 +141,12 @@ TEST(Degradation, OneStallBoundCoversBmlAndBurstBuffer) {
   const auto st = tc.server().metrics();
   EXPECT_GE(st.counter("server.bml_timeouts"), 1u) << "no write timed out on the BML";
   EXPECT_GE(st.counter("bb.degraded_writes"), 1u) << "no write timed out on the burst buffer";
+  // Every admission is counted once under its verdict and reason: each
+  // BML timeout is a bml_wait pass-through, every other write staged async.
+  EXPECT_EQ(st.counter("server.admit.passthrough.bml_wait"), st.counter("server.bml_timeouts"));
+  EXPECT_EQ(st.counter("server.admit.passthrough.bml_wait") +
+                st.counter("server.admit.async_stage.none"),
+            kWrites);
   EXPECT_TRUE(client.close(1).is_ok());
 
   const auto all = tc.drain_and_snapshot("f");

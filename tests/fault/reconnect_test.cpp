@@ -96,7 +96,7 @@ TEST(Reconnect, BoundedAttemptsThenGiveup) {
   int dials = 0;
   rt::StreamFactory dead_factory = [&]() -> Result<std::unique_ptr<rt::ByteStream>> {
     ++dials;
-    auto [s, c] = rt::InProcTransport::make_pair();
+    auto [s, c] = rt::SocketTransport::make_socketpair().value();
     s->close();  // server side never serves: instant dead line
     return std::unique_ptr<rt::ByteStream>(std::move(c));
   };

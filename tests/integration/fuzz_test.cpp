@@ -165,7 +165,7 @@ TEST(RtFuzz, RandomOpsMatchGoldenModel) {
     rt::ServerConfig cfg;
     cfg.workers = 1;  // FIFO execution: overlapping writes apply in program order
     rt::IonServer server(std::move(backend), cfg);
-    auto [se, ce] = rt::InProcTransport::make_pair();
+    auto [se, ce] = rt::SocketTransport::make_socketpair().value();
     server.serve(std::move(se));
     rt::Client client(std::move(ce));
 

@@ -112,7 +112,7 @@ TEST(ServerObs, TracerReceivesSpansAndCounterTracks) {
 TEST(ServerObs, DefaultConfigOwnsAPrivateRegistry) {
   ServerConfig cfg;  // no registry: the server must self-provision
   auto server = std::make_unique<IonServer>(std::make_unique<MemBackend>(), cfg);
-  auto [a, b] = InProcTransport::make_pair();
+  auto [a, b] = SocketTransport::make_socketpair().value();
   server->serve(std::move(a));
   Client client(std::move(b));
   ASSERT_TRUE(client.open(1, "f").is_ok());

@@ -7,6 +7,7 @@
 // an empty budget would show it probed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <set>
 #include <string>
@@ -90,6 +91,8 @@ TEST(Admission, ExhaustiveDecisionTable) {
           return r.queue_deep;
         });
     EXPECT_EQ(a, (Admission{r.verdict, r.reason})) << where;
+    // The server keeps one counter per kAdmissions entry.
+    EXPECT_NE(std::find(kAdmissions.begin(), kAdmissions.end(), a), kAdmissions.end()) << where;
     EXPECT_EQ(budget_calls, r.budget_probed ? 1 : 0) << where;
     EXPECT_EQ(depth_calls, r.depth_probed ? 1 : 0) << where;
   }

@@ -129,7 +129,7 @@ TEST(Aggregator, ComposesWithServer) {
   ServerConfig cfg;
   cfg.workers = 1;  // strict FIFO execution => deterministic coalescing
   IonServer server(std::move(agg_owned), cfg);
-  auto [se, ce] = InProcTransport::make_pair();
+  auto [se, ce] = SocketTransport::make_socketpair().value();
   server.serve(std::move(se));
   Client client(std::move(ce));
 

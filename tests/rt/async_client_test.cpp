@@ -26,7 +26,7 @@ struct Harness {
     mem = inner.get();
     auto backend = std::make_unique<fault::FaultyBackend>(std::move(inner), plan);
     server = std::make_unique<IonServer>(std::move(backend), cfg);
-    auto [a, b] = InProcTransport::make_pair();
+    auto [a, b] = SocketTransport::make_socketpair().value();
     server->serve(std::move(a));
     client = std::make_unique<AsyncClient>(std::move(b), window);
   }
@@ -103,7 +103,7 @@ TEST(AsyncClient2, DeferredErrorSurfacesOnFsyncFuture) {
 
 TEST(AsyncClient2, ShutdownFailsPendingFutures) {
   // A server that never answers: requests pile up, shutdown must fail them.
-  auto [a, b] = InProcTransport::make_pair();
+  auto [a, b] = SocketTransport::make_socketpair().value();
   AsyncClient client(std::move(b), 8);
   auto f = client.open(1, "never");
   client.shutdown();

@@ -123,11 +123,13 @@ TEST(EventLoop, MultipleFdsReportDistinctKeys) {
   }
 }
 
-TEST(EventLoop, WatchesInProcReadinessFd) {
-  // The shim a lane actually registers: an InProcPipe's eventfd.
+TEST(EventLoop, WatchesSocketReadinessFd) {
+  // The fd a lane actually registers: a connected socket's readiness fd.
   EventLoop loop;
-  auto [a, b] = InProcTransport::make_pair(4096);
-  ASSERT_TRUE(loop.add(b->read_readiness_fd(), 42).is_ok());
+  auto pair = SocketTransport::make_socketpair();
+  ASSERT_TRUE(pair.is_ok());
+  auto [a, b] = std::move(pair).value();
+  ASSERT_TRUE(loop.add(b->readiness_fd(), 42).is_ok());
 
   ASSERT_TRUE(a->write_all("ping", 4).is_ok());
   std::vector<Event> ready;

@@ -148,7 +148,7 @@ TEST(FilterServer, DownsampleReducesStoredData) {
   chain.add(std::make_shared<DownsampleFilter>(4, 8));
   server.set_filter_chain(std::move(chain));
 
-  auto [se, ce] = InProcTransport::make_pair();
+  auto [se, ce] = SocketTransport::make_socketpair().value();
   server.serve(std::move(se));
   Client client(std::move(ce));
 
@@ -184,7 +184,7 @@ TEST(FilterServer, FilterErrorBecomesDeferredError) {
   chain.add(std::make_shared<DownsampleFilter>(2, 8));
   server.set_filter_chain(std::move(chain));
 
-  auto [se, ce] = InProcTransport::make_pair();
+  auto [se, ce] = SocketTransport::make_socketpair().value();
   server.serve(std::move(se));
   Client client(std::move(ce));
   ASSERT_TRUE(client.open(1, "f").is_ok());

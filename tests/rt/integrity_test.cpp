@@ -30,7 +30,7 @@ struct Fx {
     ServerConfig scfg;
     scfg.max_wire_version = server_ver;
     server = std::make_unique<IonServer>(std::move(m), scfg);
-    auto [s, c] = InProcTransport::make_pair();
+    auto [s, c] = SocketTransport::make_socketpair().value();
     server->serve(std::move(s));
     ClientConfig ccfg;
     ccfg.max_wire_version = client_ver;
@@ -107,10 +107,10 @@ TEST(Integrity, HelloRepeatsPerConnection) {
   auto server = std::make_unique<IonServer>(std::move(m), ServerConfig{});
   (void)mem;
 
-  auto [s0, c0] = InProcTransport::make_pair();
+  auto [s0, c0] = SocketTransport::make_socketpair().value();
   server->serve(std::move(s0));
   StreamFactory factory = [&server]() -> Result<std::unique_ptr<ByteStream>> {
-    auto [s, c] = InProcTransport::make_pair();
+    auto [s, c] = SocketTransport::make_socketpair().value();
     server->serve(std::move(s));
     return std::unique_ptr<ByteStream>(std::move(c));
   };

@@ -113,6 +113,8 @@ TEST(Qos, OverBudgetAsyncWritesDemoteToSyncStagingWithDataIntact) {
   EXPECT_EQ(st.counter("server.qos.throttled_ops"), kOps);
   EXPECT_EQ(st.counter("server.qos.admitted_bytes"), 0u);
   EXPECT_EQ(st.counter("server.degraded_sync_writes"), kOps);
+  EXPECT_EQ(st.counter("server.admit.sync_stage.tenant_budget"), kOps);
+  EXPECT_EQ(st.counter("server.admit.async_stage.none"), 0u);
 
   EXPECT_EQ(tc.drain_and_snapshot("f"), golden);
 }

@@ -1,16 +1,17 @@
 // Send-side backpressure (DESIGN.md §15): the asynchronous reply path must
 //
-//   * park replies in the per-connection send queue when the peer's ring is
-//     full, resume on the EPOLLOUT edge, and deliver every byte intact;
+//   * park replies in the per-connection send queue when the socket's send
+//     buffer is full, resume on the EPOLLOUT edge, and deliver every byte
+//     intact;
 //   * bound queued reply memory at ServerConfig::send_queue_bytes and drop
 //     only the stalled connection when a peer stops reading — releasing the
 //     BML leases its queued replies were pinning;
-//   * refuse a stream with no readiness fds instead of serving it off the
+//   * refuse a stream with no readiness fd instead of serving it off the
 //     lanes, leaving every other connection untouched;
 //   * account the one remaining reply memcpy (fstat's 8-byte size) so the
 //     bench's zero-copy gate has a counter to watch.
 //
-// The tests speak the wire protocol directly over raw in-proc pipes so they
+// The tests speak the wire protocol directly over raw socketpairs so they
 // can pipeline requests without reaping replies — Client's roundtrip API
 // would drain each reply immediately and never stress the queue.
 #include <gtest/gtest.h>
@@ -35,7 +36,8 @@
 namespace iofwd::rt {
 namespace {
 
-constexpr std::size_t kPipe = 4_KiB;  // tiny ring: replies overflow fast
+// Server-end send buffer: replies overflow it fast.
+constexpr std::size_t kSendBuffer = 4_KiB;
 
 // Raw protocol driver over one stream end.
 struct Raw {
@@ -95,8 +97,12 @@ struct Raw {
   }
 };
 
-Raw dial(IonServer& server, std::size_t pipe_bytes = kPipe) {
-  auto [s, c] = InProcTransport::make_pair(pipe_bytes);
+// `send_buffer` shrinks the server end's send buffer; 0 keeps the default.
+Raw dial(IonServer& server, std::size_t send_buffer = kSendBuffer) {
+  auto [s, c] = SocketTransport::make_socketpair().value();
+  if (send_buffer > 0) {
+    EXPECT_TRUE(testsupport::set_send_buffer(*s, send_buffer));
+  }
   server.serve(std::move(s));
   return Raw{std::move(c)};
 }
@@ -127,8 +133,9 @@ TEST(SendPath, SlowReaderParksRepliesThenDeliversAll) {
   ASSERT_TRUE(conn.roundtrip(wr, data));
 
   // Pipeline 16 reads without reaping: ~262 KiB of replies against a 4 KiB
-  // ring. The requests themselves (16 x 56 B) fit the send ring, so this
-  // never deadlocks; the *replies* must park in the send queue.
+  // send buffer. The requests themselves (16 x 56 B) fit the client's
+  // buffer, so this never deadlocks; the *replies* must park in the send
+  // queue.
   constexpr int kReads = 16;
   for (int i = 0; i < kReads; ++i) {
     FrameHeader rd;
@@ -145,7 +152,7 @@ TEST(SendPath, SlowReaderParksRepliesThenDeliversAll) {
     return st.counter("server.reply.enqueued") > st.counter("server.reply.sent");
   })) << "replies never parked in the send queue";
 
-  // Now read everything: each drained ring fires the write-readiness edge
+  // Now read everything: each drained buffer fires the write-readiness edge
   // and the lane resumes the gather. Every reply must arrive whole, in
   // order, checksummed, and correct.
   for (int i = 0; i < kReads; ++i) {
@@ -185,7 +192,7 @@ TEST(SendPath, QueueFullDropsOnlyTheStalledConnection) {
   wr.fd = 1;
   ASSERT_TRUE(stalled.roundtrip(wr, data));
 
-  // Demand far more reply bytes than ring + queue can hold, and never read.
+  // Demand far more reply bytes than buffer + queue can hold, and never read.
   // A send may fail mid-blast: that is the drop itself landing before the
   // blast finishes (the server closed the stream under us).
   for (int i = 0; i < 12; ++i) {
@@ -199,7 +206,7 @@ TEST(SendPath, QueueFullDropsOnlyTheStalledConnection) {
       << "the send-queue bound never tripped";
 
   // The stalled connection was dropped: its stream reads EOF once the
-  // already-ringed bytes are drained.
+  // already-buffered bytes are drained.
   std::byte sink[1_KiB];
   Status st = Status::ok();
   while (st.is_ok()) st = stalled.s->read_exact(sink, sizeof sink);
@@ -226,7 +233,7 @@ TEST(SendPath, QueueFullDropsOnlyTheStalledConnection) {
       << "queued replies behind the drop were not accounted";
 }
 
-// A stream that hides its readiness fds: no lane can poll it.
+// A stream that hides its readiness fd: no lane can poll it.
 class OpaqueStream final : public ByteStream {
  public:
   explicit OpaqueStream(std::unique_ptr<ByteStream> inner) : inner_(std::move(inner)) {}
@@ -242,10 +249,10 @@ TEST(SendPath, NonPollableStreamIsRefused) {
   ServerConfig cfg;
   cfg.exec = ExecModel::work_queue_async;
   IonServer server(std::make_unique<MemBackend>(), cfg);
-  Raw healthy = dial(server, 64_KiB);
+  Raw healthy = dial(server, 0);
   ASSERT_TRUE(healthy.handshake(1, "f"));
 
-  auto [s, c] = InProcTransport::make_pair(64_KiB);
+  auto [s, c] = SocketTransport::make_socketpair().value();
   server.serve(std::make_unique<OpaqueStream>(std::move(s)));
   // The refused stream is closed: the peer's next read reports shutdown.
   std::byte b;
@@ -258,7 +265,7 @@ TEST(SendPath, NonPollableStreamIsRefused) {
 
   // The connection served before the refusal, and one served after it, both
   // keep full write/read service.
-  Raw late = dial(server, 64_KiB);
+  Raw late = dial(server, 0);
   ASSERT_TRUE(late.handshake(2, "g"));
   const auto data = testsupport::pattern(8_KiB, 0xfa11);
   for (auto [conn, fd] : {std::pair{&healthy, 1}, std::pair{&late, 2}}) {
@@ -282,7 +289,7 @@ TEST(SendPath, FstatIsTheOnlyReplyCopy) {
   ServerConfig cfg;
   cfg.exec = ExecModel::work_queue_async;
   IonServer server(std::make_unique<MemBackend>(), cfg);
-  Raw conn = dial(server, 64_KiB);
+  Raw conn = dial(server, 0);
   ASSERT_TRUE(conn.handshake(1, "f"));
 
   const auto data = testsupport::pattern(16_KiB, 0xc0);
@@ -360,13 +367,13 @@ TEST(SendPath, MiBReadOverUnixListenerIsOneWritev) {
 }
 
 // Whole-stack sanity under send-side pressure: many Client threads doing
-// mixed ops over deliberately tiny rings, so read replies routinely overflow
-// into the send queues while neighbors keep writing.
+// mixed ops over deliberately tiny send buffers, so read replies routinely
+// overflow into the send queues while neighbors keep writing.
 TEST(SendPath, ClusterSurvivesTinyPipesUnderConcurrency) {
   testsupport::ClusterOptions o;
   o.server.exec = ExecModel::work_queue_async;
   o.server.workers = 4;
-  o.pipe_bytes = 8_KiB;
+  o.send_buffer_bytes = 8_KiB;
   o.clients = 8;
   testsupport::TestCluster tc(o);
 
@@ -389,8 +396,8 @@ TEST(SendPath, ClusterSurvivesTinyPipesUnderConcurrency) {
           return;
         }
         file.insert(file.end(), data.begin(), data.end());
-        // Read back a slice bigger than the ring: the reply must stream
-        // through a parked queue.
+        // Read back a slice bigger than the send buffer: the reply must
+        // stream through a parked queue.
         const std::uint64_t off = (file.size() > 12_KiB) ? file.size() - 12_KiB : 0;
         auto r = client.read(fd, off, file.size() - off);
         if (!r.is_ok() || !std::equal(r.value().begin(), r.value().end(),
@@ -413,6 +420,14 @@ TEST(SendPath, ClusterSurvivesTinyPipesUnderConcurrency) {
       << "a live reader must never trip the queue bound";
   EXPECT_EQ(st.counter("server.reply.sent"), st.counter("server.reply.enqueued"));
   EXPECT_EQ(st.gauge("server.bml_in_use"), 0);
+  // The buffers were small enough that replies really parked.
+  std::uint64_t would_blocks = 0;
+  for (const auto& [name, v] : st.counters) {
+    if (name.starts_with("server.rt.lane.") && name.ends_with(".send.would_blocks")) {
+      would_blocks += v;
+    }
+  }
+  EXPECT_GT(would_blocks, 0u) << "no reply ever hit a full send buffer";
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // End-to-end tests of the real forwarding runtime: IonServer + Client over
-// in-process and socket transports, across all three execution models.
+// socketpairs and listeners, across all three execution models.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <map>
 #include <thread>
 #include <vector>
@@ -232,8 +235,8 @@ TEST(Rt, OversizeWriteBouncesCleanly) {
   EXPECT_TRUE(tc.client().write(1, 0, small).is_ok());
 }
 
-// Raw socketpair wiring is deliberately hand-built: it pins the one transport
-// TestCluster doesn't use.
+// The smallest wiring, hand-built without TestCluster: one socketpair, one
+// server, one client.
 TEST(Rt, WorksOverSocketpair) {
   auto pair = SocketTransport::make_socketpair();
   ASSERT_TRUE(pair.is_ok());
@@ -329,6 +332,49 @@ TEST(Rt, StatsAccumulate) {
   EXPECT_EQ(s.counter("server.bytes_in"), 32 * data.size());
   EXPECT_GE(s.gauge("server.queue_batches"), 1);
   EXPECT_GE(s.gauge("server.queue_max_depth"), 1);
+}
+
+std::size_t open_fds() {
+  return static_cast<std::size_t>(std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                                                std::filesystem::directory_iterator{}));
+}
+
+std::int64_t open_connections(const IonServer& server) {
+  std::int64_t n = 0;
+  for (const auto& [name, v] : server.metrics().gauges) {
+    if (name.starts_with("server.rt.lane.") && name.ends_with(".open_connections")) n += v;
+  }
+  return n;
+}
+
+// A connection its lane dropped (here on peer EOF) is owned by nothing else:
+// its stream and socket fd go away while the server keeps running.
+TEST(Rt, DroppedConnectionsReleaseTheirFds) {
+  IonServer server(std::make_unique<MemBackend>(), {});
+  const auto wait_for = [](auto pred) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!pred() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return pred();
+  };
+  // The first connection spawns the lanes (an epoll fd and a wake fd
+  // each), so the baseline is taken after it is served and gone.
+  auto first = SocketTransport::make_socketpair().value();
+  server.serve(std::move(first.first));
+  first.second.reset();
+  ASSERT_TRUE(wait_for([&] { return open_connections(server) == 0; }));
+  const std::size_t baseline = open_fds();
+
+  for (int i = 0; i < 200; ++i) {
+    auto [s, c] = SocketTransport::make_socketpair().value();
+    server.serve(std::move(s));
+    c.reset();  // peer EOF: the lane drops the connection
+  }
+  ASSERT_TRUE(wait_for([&] { return open_connections(server) == 0; }));
+  EXPECT_TRUE(wait_for([&] { return open_fds() <= baseline + 2; }))
+      << open_fds() << " fds open, " << baseline << " before serving 200 connections";
+  EXPECT_EQ(server.metrics().counter("server.conns_refused"), 0u);
 }
 
 TEST(Rt, StopIsIdempotentAndJoinsThreads) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 
@@ -20,9 +19,14 @@
 namespace iofwd::rt {
 namespace {
 
-template <typename MakePair>
-void round_trip_test(MakePair make) {
-  auto [a, b] = make();
+std::pair<std::unique_ptr<SocketTransport>, std::unique_ptr<SocketTransport>> make_sockets() {
+  auto r = SocketTransport::make_socketpair();
+  EXPECT_TRUE(r.is_ok());
+  return std::move(r).value();
+}
+
+TEST(SocketTransport, RoundTrip) {
+  auto [a, b] = make_sockets();
   const char msg[] = "hello forwarding";
   ASSERT_TRUE(a->write_all(msg, sizeof msg).is_ok());
   char got[sizeof msg];
@@ -35,10 +39,9 @@ void round_trip_test(MakePair make) {
   EXPECT_EQ(std::memcmp(pong, "pong", 4), 0);
 }
 
-template <typename MakePair>
-void large_transfer_test(MakePair make) {
-  auto [a, b] = make();
-  // Bigger than the in-proc ring capacity: forces wraparound + blocking.
+TEST(SocketTransport, LargeTransfer) {
+  auto [a, b] = make_sockets();
+  // Bigger than the socket's send buffer: write_all must block and resume.
   std::vector<std::byte> data(3 * (1 << 20));
   Rng rng(42);
   for (auto& x : data) x = static_cast<std::byte>(rng.next());
@@ -49,9 +52,8 @@ void large_transfer_test(MakePair make) {
   EXPECT_EQ(got, data);
 }
 
-template <typename MakePair>
-void close_unblocks_reader_test(MakePair make) {
-  auto [a, b] = make();
+TEST(SocketTransport, CloseUnblocksReader) {
+  auto [a, b] = make_sockets();
   std::thread closer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     a->close();
@@ -61,21 +63,6 @@ void close_unblocks_reader_test(MakePair make) {
   closer.join();
   EXPECT_EQ(st.code(), Errc::shutdown);
 }
-
-auto make_inproc = [] { return InProcTransport::make_pair(64 * 1024); };
-auto make_sockets = [] {
-  auto r = SocketTransport::make_socketpair();
-  EXPECT_TRUE(r.is_ok());
-  return std::move(r).value();
-};
-
-TEST(InProcTransport, RoundTrip) { round_trip_test(make_inproc); }
-TEST(InProcTransport, LargeTransferWrapsRing) { large_transfer_test(make_inproc); }
-TEST(InProcTransport, CloseUnblocksReader) { close_unblocks_reader_test(make_inproc); }
-
-TEST(SocketTransport, RoundTrip) { round_trip_test(make_sockets); }
-TEST(SocketTransport, LargeTransfer) { large_transfer_test(make_sockets); }
-TEST(SocketTransport, CloseUnblocksReader) { close_unblocks_reader_test(make_sockets); }
 
 TEST(SocketTransport, WriteAllToClosedPeerReturnsShutdownWithoutSigpipe) {
   // Run with SIGPIPE at its default action (terminate), so a raised SIGPIPE
@@ -95,8 +82,8 @@ TEST(SocketTransport, WriteAllToClosedPeerReturnsShutdownWithoutSigpipe) {
   EXPECT_EQ(now.sa_handler, SIG_DFL);
 }
 
-TEST(InProcTransport, ManySmallMessagesInterleaved) {
-  auto [a, b] = InProcTransport::make_pair(256);
+TEST(SocketTransport, ManySmallMessagesInterleaved) {
+  auto [a, b] = make_sockets();
   std::thread producer([&] {
     for (std::uint32_t i = 0; i < 10000; ++i) {
       ASSERT_TRUE(a->write_all(&i, sizeof i).is_ok());
@@ -111,12 +98,12 @@ TEST(InProcTransport, ManySmallMessagesInterleaved) {
 }
 
 // --------------------------------------------------------------------------
-// Readiness API (epoll receiver lanes): read_readiness_fd + read_some.
+// Readiness API (epoll receiver lanes, DESIGN.md §13): readiness_fd +
+// read_some.
 // --------------------------------------------------------------------------
 
-template <typename MakePair>
-void read_some_drains_then_would_blocks(MakePair make) {
-  auto [a, b] = make();
+TEST(SocketTransport, ReadSomeDrainsThenWouldBlocks) {
+  auto [a, b] = make_sockets();
   ASSERT_TRUE(a->write_all("abcdef", 6).is_ok());
   char buf[16];
   // A ready stream hands over what it has, without blocking.
@@ -135,133 +122,21 @@ void read_some_drains_then_would_blocks(MakePair make) {
   EXPECT_EQ(r.code(), Errc::shutdown);
 }
 
-TEST(InProcTransport, ReadSomeDrainsThenWouldBlocks) {
-  read_some_drains_then_would_blocks(make_inproc);
-}
-TEST(SocketTransport, ReadSomeDrainsThenWouldBlocks) {
-  read_some_drains_then_would_blocks(make_sockets);
-}
-
-TEST(InProcTransport, ReadinessFdSignalsOnWriteAndClose) {
-  auto [a, b] = InProcTransport::make_pair(4096);
-  const int rfd = b->read_readiness_fd();
-  ASSERT_GE(rfd, 0);
-  // Same fd on every call (lanes register it with epoll once).
-  EXPECT_EQ(b->read_readiness_fd(), rfd);
-
-  auto readable = [&](int timeout_ms) {
-    pollfd p{rfd, POLLIN, 0};
-    return ::poll(&p, 1, timeout_ms) == 1 && (p.revents & POLLIN) != 0;
-  };
-  EXPECT_FALSE(readable(0)) << "idle pipe must not be readable";
-  ASSERT_TRUE(a->write_all("x", 1).is_ok());
-  EXPECT_TRUE(readable(1000)) << "a buffered byte must signal readiness";
-
-  char c = 0;
-  auto r = b->read_some(&c, 1);
-  ASSERT_TRUE(r.is_ok());
-  ASSERT_EQ(r.value(), 1u);
-  EXPECT_EQ(c, 'x');
-  // Drain-to-would_block rearms the eventfd for the next edge.
-  EXPECT_EQ(b->read_some(&c, 1).code(), Errc::would_block);
-  EXPECT_FALSE(readable(0)) << "drained pipe must clear readiness";
-
-  a->close();
-  EXPECT_TRUE(readable(1000)) << "peer close must signal readiness";
-  EXPECT_EQ(b->read_some(&c, 1).code(), Errc::shutdown);
-}
-
-TEST(InProcTransport, ReadinessFdCreatedAfterBufferedBytesStillSignals) {
-  // The eventfd is created lazily on first read_readiness_fd(); bytes
-  // written before that must still produce an immediate edge, or an
-  // edge-triggered lane would stall forever on a pre-loaded connection.
-  auto [a, b] = InProcTransport::make_pair(4096);
-  ASSERT_TRUE(a->write_all("pre", 3).is_ok());
-  const int rfd = b->read_readiness_fd();
-  ASSERT_GE(rfd, 0);
-  pollfd p{rfd, POLLIN, 0};
-  ASSERT_EQ(::poll(&p, 1, 1000), 1);
-  EXPECT_TRUE(p.revents & POLLIN);
-}
-
 TEST(SocketTransport, ReadinessFdIsTheSocket) {
   auto [a, b] = make_sockets();
-  EXPECT_GE(a->read_readiness_fd(), 0);
-  EXPECT_GE(b->read_readiness_fd(), 0);
-  // Sockets are full-duplex on one fd: write readiness is the same fd, so a
-  // lane widens its existing registration with EPOLLOUT instead of adding a
-  // second one.
-  EXPECT_EQ(a->write_readiness_fd(), a->read_readiness_fd());
-  EXPECT_EQ(b->write_readiness_fd(), b->read_readiness_fd());
+  // Sockets are full-duplex on one fd: a lane registers it once for
+  // EPOLLIN and widens the same registration with EPOLLOUT on would_block.
+  EXPECT_GE(a->readiness_fd(), 0);
+  EXPECT_EQ(a->readiness_fd(), a->fd());
+  EXPECT_EQ(b->readiness_fd(), b->fd());
 }
 
 // --------------------------------------------------------------------------
-// Write-side API (async send path, DESIGN.md §15): write_some/writev_some +
-// write_readiness_fd.
+// Write-side API (async send path, DESIGN.md §15): write_some/writev_some.
 // --------------------------------------------------------------------------
 
-TEST(InProcTransport, WriteSomeFillsRingThenWouldBlocks) {
-  auto [a, b] = InProcTransport::make_pair(64);
-  std::vector<std::byte> chunk(256, std::byte{0x5a});
-  std::size_t accepted = 0;
-  // Partial accept: a non-blocking send takes what fits and reports it.
-  while (true) {
-    auto r = a->write_some(chunk.data(), chunk.size());
-    if (!r.is_ok()) {
-      EXPECT_EQ(r.code(), Errc::would_block);
-      break;
-    }
-    ASSERT_GT(r.value(), 0u);
-    accepted += r.value();
-  }
-  EXPECT_EQ(accepted, 64u) << "ring capacity must be exactly consumable";
-
-  // Reader drains; writer can proceed again.
-  std::vector<std::byte> got(accepted);
-  ASSERT_TRUE(b->read_exact(got.data(), got.size()).is_ok());
-  auto r = a->write_some(chunk.data(), 8);
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_GT(r.value(), 0u);
-}
-
-TEST(InProcTransport, WriteReadinessFdTicksWhenFullPipeDrains) {
-  auto [a, b] = InProcTransport::make_pair(64);
-  const int wfd = a->write_readiness_fd();
-  ASSERT_GE(wfd, 0);
-  EXPECT_NE(wfd, a->read_readiness_fd()) << "in-proc write shim is a distinct eventfd";
-
-  auto ticked = [&](int timeout_ms) {
-    pollfd p{wfd, POLLIN, 0};
-    return ::poll(&p, 1, timeout_ms) == 1 && (p.revents & POLLIN) != 0;
-  };
-  // Space available now: the shim must be pre-signaled so a parked sender
-  // cannot miss an edge that already happened.
-  EXPECT_TRUE(ticked(1000));
-
-  // Fill the ring; write_some's would_block drains stale ticks.
-  std::vector<std::byte> chunk(64, std::byte{1});
-  ASSERT_TRUE(a->write_some(chunk.data(), chunk.size()).is_ok());
-  ASSERT_EQ(a->write_some(chunk.data(), 1).code(), Errc::would_block);
-  EXPECT_FALSE(ticked(0)) << "full ring must not show write readiness";
-
-  // full -> not-full transition ticks the shim.
-  std::byte sink[16];
-  ASSERT_TRUE(b->read_exact(sink, sizeof sink).is_ok());
-  EXPECT_TRUE(ticked(1000)) << "draining a full ring must tick the write shim";
-
-  // Refill the freed space so the ring is full again and the sender parks
-  // (the trailing would_block drains any stale tick).
-  while (a->write_some(chunk.data(), chunk.size()).is_ok()) {
-  }
-  EXPECT_FALSE(ticked(0));
-  b->close();
-  EXPECT_TRUE(ticked(1000)) << "peer close must tick the write shim";
-  EXPECT_EQ(a->write_some(chunk.data(), 1).code(), Errc::shutdown);
-}
-
-template <typename MakePair>
-void writev_some_gathers(MakePair make) {
-  auto [a, b] = make();
+TEST(SocketTransport, WritevSomeGathersSpans) {
+  auto [a, b] = make_sockets();
   const std::array<std::byte, 4> h1{std::byte{'a'}, std::byte{'b'}, std::byte{'c'},
                                     std::byte{'d'}};
   const std::array<std::byte, 3> h2{std::byte{'e'}, std::byte{'f'}, std::byte{'g'}};
@@ -272,7 +147,7 @@ void writev_some_gathers(MakePair make) {
   while (sent < 7) {
     auto r = a->writev_some(std::span<const std::span<const std::byte>>(iov));
     ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    // This test's spans always fit in one call for both transports.
+    // This test's spans always fit in one call.
     sent += r.value();
     ASSERT_EQ(sent, 7u);
   }
@@ -280,9 +155,6 @@ void writev_some_gathers(MakePair make) {
   ASSERT_TRUE(b->read_exact(got, 7).is_ok());
   EXPECT_EQ(std::memcmp(got, "abcdefg", 7), 0);
 }
-
-TEST(InProcTransport, WritevSomeGathersSpans) { writev_some_gathers(make_inproc); }
-TEST(SocketTransport, WritevSomeGathersSpans) { writev_some_gathers(make_sockets); }
 
 TEST(SocketTransport, WriteSomeNeverBlocks) {
   auto [a, b] = make_sockets();
@@ -338,7 +210,7 @@ TEST(UnixListener, AcceptAndEcho) {
 int send_buffer_bytes(ByteStream& s) {
   int v = 0;
   socklen_t len = sizeof v;
-  EXPECT_EQ(::getsockopt(s.write_readiness_fd(), SOL_SOCKET, SO_SNDBUF, &v, &len), 0);
+  EXPECT_EQ(::getsockopt(s.readiness_fd(), SOL_SOCKET, SO_SNDBUF, &v, &len), 0);
   return v;
 }
 

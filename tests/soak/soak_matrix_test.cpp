@@ -38,7 +38,7 @@ using testsupport::ClusterOptions;
 using testsupport::TestCluster;
 using testsupport::pattern;
 
-// slow_reader (DESIGN.md §15): tiny in-proc rings plus randomly delayed
+// slow_reader (DESIGN.md §15): tiny socket send buffers plus randomly delayed
 // client-side reads, so server replies routinely park in the per-connection
 // send queues and resume on EPOLLOUT — the cell proves a merely-slow reader
 // is never dropped and every parked reply is eventually delivered.
@@ -88,9 +88,9 @@ TEST_P(SoakMatrix, EveryClientIsolatedNoSilentCorruptionCleanDrain) {
     o.retry = &rp;
   }
   if (mode == FaultMode::slow_reader) {
-    // Rings far smaller than a typical read reply: the reply path must park
-    // in the send queue on nearly every read-back.
-    o.pipe_bytes = 8_KiB;
+    // Send buffers far smaller than a typical read reply: the reply path
+    // must park in the send queue on nearly every read-back.
+    o.send_buffer_bytes = 8_KiB;
   }
   TestCluster tc(o);
 

@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include <stdlib.h>  // mkdtemp
+#include <sys/socket.h>
 
 #include "core/rng.hpp"
 
@@ -38,6 +39,11 @@ bool unix_send_buffers_unclamped() {
   std::ifstream in("/proc/sys/net/core/wmem_max");
   std::uint64_t wmem_max = 0;
   return static_cast<bool>(in >> wmem_max) && wmem_max >= (2u << 20);
+}
+
+bool set_send_buffer(rt::SocketTransport& end, std::size_t bytes) {
+  const int half = static_cast<int>(bytes / 2);
+  return ::setsockopt(end.fd(), SOL_SOCKET, SO_SNDBUF, &half, sizeof half) == 0;
 }
 
 std::jthread claiming_server(std::unique_ptr<rt::SocketTransport> end, std::uint64_t claimed,
@@ -156,7 +162,13 @@ cluster::RoutingClient& TestCluster::routing_client(std::size_t i) {
 Result<std::unique_ptr<rt::ByteStream>> TestCluster::dial(
     int shard, const std::shared_ptr<fault::FaultPlan>& stream_plan,
     std::uint64_t cut_after_write_bytes) {
-  auto [s, c] = rt::InProcTransport::make_pair(opts_.pipe_bytes);
+  auto pair = rt::SocketTransport::make_socketpair();
+  if (!pair.is_ok()) return pair.status();
+  auto [s, c] = std::move(pair).value();
+  if (opts_.send_buffer_bytes > 0 && (!set_send_buffer(*s, opts_.send_buffer_bytes) ||
+                                      !set_send_buffer(*c, opts_.send_buffer_bytes))) {
+    return Status(Errc::io_error, "setsockopt(SO_SNDBUF) failed");
+  }
   server(shard).serve(std::move(s));
   std::unique_ptr<rt::ByteStream> stream = std::move(c);
   const auto& plan = stream_plan ? stream_plan : opts_.stream_plan;

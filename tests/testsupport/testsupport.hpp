@@ -86,6 +86,13 @@ std::uint64_t test_seed(const char* label, std::uint64_t dflt);
 // frame-sized AF_UNIX send buffers GTEST_SKIP otherwise.
 bool unix_send_buffers_unclamped();
 
+// Shrinks `end`'s send buffer so the kernel reports `bytes` for SO_SNDBUF
+// (Linux doubles the request, so this asks for half; it also raises tiny
+// values to its floor of about 4.5 KiB). An AF_UNIX sender can have only
+// that many bytes in flight, so a server end set to a few KiB makes large
+// replies park in the send queue. False if setsockopt(2) fails.
+[[nodiscard]] bool set_send_buffer(rt::SocketTransport& end, std::size_t bytes);
+
 // A hand-rolled server on `end` (one side of a socketpair) for tests of a
 // client's reply handling: it reads one request, answers with an ok reply
 // header for seq + `seq_shift` claiming `claimed` payload bytes, sends
@@ -98,7 +105,9 @@ struct ClusterOptions {
   rt::ServerConfig server;      // knobs pass through untouched
   rt::ClientConfig client;      // config for the initial clients
   int clients = 1;              // clients dialed in at construction
-  std::size_t pipe_bytes = 1u << 20;  // in-proc ring capacity per direction
+  // Send buffer of both ends of every dialed socketpair (set_send_buffer);
+  // 0 keeps the transport's frame-sized default.
+  std::size_t send_buffer_bytes = 0;
   // Sharded mode: > 0 builds an IonCluster of this many IonServer shards
   // (each with `server` as its config template) and every client becomes a
   // RoutingClient over one connection per shard. 0 = the classic single
