@@ -273,7 +273,10 @@ int main(int argc, char** argv) {
   // Constant total volume per point: every point pushes the same number of
   // bytes through the server, split across however many connections, so the
   // ratio compares steady-state multiplexing — not per-connection setup.
-  const std::uint64_t total_bytes = (args.quick ? 64 : 256) * std::uint64_t{1_MiB};
+  // --quick runs fewer reps, not shorter points: at 64 MiB a point lasted
+  // ~0.1 s and one host hiccup flipped the gates; at 256 MiB a rep of the
+  // curve takes ~2 s on a 4-vCPU VM.
+  const std::uint64_t total_bytes = 256 * std::uint64_t{1_MiB};
 
   const int points[] = {1, 4, 16, 64, 256, 1024};
   int writes[std::size(points)];

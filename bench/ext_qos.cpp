@@ -164,7 +164,9 @@ double quiet_mibs(rt::SchedPolicy policy, bool with_hot, int writes, int reps) {
 int main(int argc, char** argv) {
   const auto args = bench::BenchArgs::parse(argc, argv);
   const int reps = args.quick ? 2 : 3;
-  const int writes = args.quick ? 24 : 48;
+  // Same volume in both modes, long enough that a baseline rep lasts over
+  // half a second: at 24 writes (~0.17 s) one host hiccup flipped the gate.
+  const int writes = 80;
 
   analysis::DiagTable t("ext_qos: quiet-tenant aggregate goodput vs one hot tenant (63+1)");
   const double baseline = quiet_mibs(rt::SchedPolicy::fifo, false, writes, reps);

@@ -8,9 +8,14 @@
 
 #include <stdlib.h>  // mkdtemp
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
+#include <future>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bb/burst_buffer.hpp"
@@ -419,6 +424,107 @@ TEST(JournalRecovery, FlushedExtentsAreNotResurrected) {
   auto bytes = mem->snapshot("flushed");
   ASSERT_EQ(bytes.size(), newer.size());
   EXPECT_EQ(bytes, newer);
+}
+
+TEST(JournalRecovery, OverwriteDuringAFlushRecoversTheNewerBytes) {
+  // A flusher writes extent E with the descriptor lock released. A write
+  // overlapping E lands meanwhile and merges into a newer extent M. When E's
+  // write returns, the flusher must leave the range journaled for M: a
+  // retire of E would un-journal M's acked bytes, and a crash before M is
+  // flushed would then recover E's stale bytes from the backend.
+  TempDir td;
+  auto mem = std::make_shared<rt::MemBackend>();
+  // Each backend write waits for a permit; `fail` releases the rest with an
+  // error instead (the crash below must not flush M).
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    int arrivals = 0;
+    int permits = 0;
+    bool fail = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  struct GatedView final : rt::IoBackend {
+    std::shared_ptr<rt::MemBackend> m;
+    std::shared_ptr<Gate> g;
+    GatedView(std::shared_ptr<rt::MemBackend> mm, std::shared_ptr<Gate> gg)
+        : m(std::move(mm)), g(std::move(gg)) {}
+    Status open(int fd, const std::string& p) override { return m->open(fd, p); }
+    Result<std::uint64_t> write(int fd, std::uint64_t off,
+                                std::span<const std::byte> d) override {
+      std::unique_lock lk(g->mu);
+      ++g->arrivals;
+      g->cv.notify_all();
+      g->cv.wait(lk, [&] { return g->permits > 0 || g->fail; });
+      if (g->permits == 0) return Status(Errc::io_error, "gate failed the write");
+      --g->permits;
+      lk.unlock();
+      return m->write(fd, off, d);
+    }
+    Result<std::uint64_t> read(int fd, std::uint64_t off, std::span<std::byte> o) override {
+      return m->read(fd, off, o);
+    }
+    Status fsync(int fd) override { return m->fsync(fd); }
+    Status close(int fd) override { return m->close(fd); }
+    Result<std::uint64_t> size(int fd) override { return m->size(fd); }
+  };
+  const auto wait_arrivals = [&](int n) {
+    std::unique_lock lk(gate->mu);
+    return gate->cv.wait_for(lk, std::chrono::seconds(10), [&] { return gate->arrivals >= n; });
+  };
+  const auto open_gate = [&](int permits, bool fail) {
+    std::scoped_lock lk(gate->mu);
+    gate->permits += permits;
+    gate->fail = fail;
+    gate->cv.notify_all();
+  };
+
+  const auto e_bytes = pattern(256 << 10, 0x555);
+  const auto m_bytes = pattern(64 << 10, 0x666);
+  std::vector<std::byte> want = e_bytes;
+  std::copy(m_bytes.begin(), m_bytes.end(), want.begin() + (128 << 10));
+  {
+    obs::MetricRegistry reg;
+    BurstBufferConfig cfg = journaled_config(td.path, &reg);
+    cfg.capacity_bytes = 1ull << 20;
+    cfg.high_watermark = 0.25;  // E alone wakes the flushers...
+    cfg.low_watermark = 0.20;   // ...and they flush until under 204 KiB
+    BurstBufferBackend bbuf(std::make_unique<GatedView>(mem, gate), cfg);
+    ASSERT_TRUE(bbuf.open(1, "f").is_ok());
+    ASSERT_TRUE(bbuf.write(1, 0, e_bytes).is_ok());
+    ASSERT_TRUE(wait_arrivals(1)) << "no flusher picked E";
+
+    // The overlapping write must not wait for E's backend write.
+    auto overwrite = std::async(std::launch::async, [&] {
+      return bbuf.write(1, 128 << 10, m_bytes).is_ok();
+    });
+    const bool prompt =
+        overwrite.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    if (!prompt) open_gate(1, false);  // unblock a flusher holding the lock
+    EXPECT_TRUE(prompt) << "a writer waited for a background flush of its descriptor";
+    ASSERT_TRUE(overwrite.get());
+
+    if (prompt) {
+      // E's write completes; the flusher then starts on M and parks there.
+      open_gate(1, false);
+      ASSERT_TRUE(wait_arrivals(2)) << "M was not flushed after E";
+    }
+    // Crash with M unflushed: freeze the journal first, then fail M's write.
+    auto crash = std::async(std::launch::async, [&] { bbuf.crash_discard(); });
+    while (!bbuf.crashed()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    open_gate(0, true);
+    crash.get();
+  }
+
+  obs::MetricRegistry reg;
+  BurstBufferBackend bbuf(std::make_unique<GatedView>(mem, gate), journaled_config(td.path, &reg));
+  std::vector<std::byte> out(want.size());
+  auto r = bbuf.read(1, 0, out);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  ASSERT_EQ(r.value(), want.size());
+  EXPECT_TRUE(out == want) << "recovery lost the bytes written during the flush";
+  open_gate(1 << 20, false);
 }
 
 }  // namespace
