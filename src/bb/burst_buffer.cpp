@@ -33,6 +33,7 @@ BurstBufferBackend::BurstBufferBackend(std::unique_ptr<rt::IoBackend> inner,
       c_bytes_in_(reg_->counter("bb.bytes_in")),
       c_flushed_bytes_(reg_->counter("bb.flushed_bytes")),
       c_write_through_bytes_(reg_->counter("bb.write_through_bytes")),
+      c_bypassed_writes_(reg_->counter("bb.bypassed_writes")),
       c_read_bytes_(reg_->counter("bb.read_bytes")),
       c_read_hit_bytes_(reg_->counter("bb.read_hit_bytes")),
       c_evictions_(reg_->counter("bb.evictions")),
@@ -349,6 +350,13 @@ Result<std::uint64_t> BurstBufferBackend::write(int fd, std::uint64_t offset,
   if (!d) return inner_->write(fd, offset, data);  // not opened through us
   if (Status st = consume_deferred(fd); !st.is_ok()) return st;
   if (data.size() >= cfg_.write_through_bytes) return write_through(fd, d, offset, data);
+  if (bypasses(*d, offset, data.size())) {
+    // Staging would be a copy and a journal append now and a write-back
+    // later; the write-back happens here instead, once.
+    c_bypassed_writes_.inc();
+    const rt::WriteBehindScope write_behind;
+    return write_through(fd, d, offset, data);
+  }
 
   bool stalled = false;
   std::uint64_t stall_start = 0;
@@ -428,6 +436,17 @@ Result<std::uint64_t> BurstBufferBackend::write(int fd, std::uint64_t offset,
     flush_cv_.notify_all();
   }
   return static_cast<std::uint64_t>(data.size());
+}
+
+bool BurstBufferBackend::bypasses(Desc& d, std::uint64_t offset, std::uint64_t len) const {
+  // The client has its ack, so the cache can only absorb the write, and
+  // above the low watermark it would only hold it for the flushers. A write
+  // touching a dirty extent stages, so merges, sequential coalescing and the
+  // journal's record order stay as they are; a clean extent under the range
+  // is dropped by write_through, as for any bypassing write.
+  if (!rt::AckedWriteScope::active() || len < kBypassBytes || !over_low()) return false;
+  std::scoped_lock lk(d.mu);
+  return !d.index.touches_dirty(offset, len);
 }
 
 Result<std::uint64_t> BurstBufferBackend::write_through(int fd, const std::shared_ptr<Desc>& d,
@@ -745,6 +764,7 @@ bool BurstBufferBackend::flush_one_step() {
 }
 
 void BurstBufferBackend::flusher_loop() {
+  const obs::RoleCpu::Member cpu(flusher_cpu_);
   for (;;) {
     {
       std::unique_lock lk(flush_mu_);

@@ -20,6 +20,10 @@
 //     flushers or an inline flush of the caller free capacity; writes larger
 //     than `write_through_bytes` bypass the cache after invalidating any
 //     overlapping extents.
+//   * A write the server has already acked (rt::AckedWriteScope) bypasses
+//     the cache too when it is large, the cache is above its low watermark
+//     and it touches no dirty extent: staging it would buy no latency, only
+//     a copy, a journal append and a later write-back (DESIGN.md §9).
 #pragma once
 
 #include <atomic>
@@ -37,6 +41,7 @@
 
 #include "bb/extent_index.hpp"
 #include "obs/metrics.hpp"
+#include "obs/thread_cpu.hpp"
 #include "rt/descriptor_db.hpp"
 #include "rt/backend.hpp"
 #include "rt/bml.hpp"
@@ -97,6 +102,11 @@ struct PinnedRead {
 
 class BurstBufferBackend final : public rt::IoBackend {
  public:
+  // An acked write at least this large may bypass the cache (see write()).
+  // It is the size where write-behind starts, so every bypassed write also
+  // starts its own disk writeback.
+  static constexpr std::uint64_t kBypassBytes = rt::FileBackend::kWriteBehindBytes;
+
   BurstBufferBackend(std::unique_ptr<rt::IoBackend> inner, BurstBufferConfig cfg);
   ~BurstBufferBackend() override;  // drains everything, joins the flushers
 
@@ -147,6 +157,9 @@ class BurstBufferBackend final : public rt::IoBackend {
     refresh_gauges();
     return reg_->snapshot();
   }
+  // CPU time of the flusher threads (IonServer publishes it as
+  // server.cpu_us.flusher).
+  [[nodiscard]] std::uint64_t flusher_cpu_us() const { return flusher_cpu_.total_us(); }
 
  private:
   struct Desc {
@@ -204,6 +217,8 @@ class BurstBufferBackend final : public rt::IoBackend {
   void flusher_loop();
   [[nodiscard]] bool over_high() const;
   [[nodiscard]] bool over_low() const;
+  // The bypass rule for an acked write (see write()); takes d.mu.
+  [[nodiscard]] bool bypasses(Desc& d, std::uint64_t offset, std::uint64_t len) const;
 
   Result<std::uint64_t> write_through(int fd, const std::shared_ptr<Desc>& d,
                                       std::uint64_t offset, std::span<const std::byte> data);
@@ -228,6 +243,7 @@ class BurstBufferBackend final : public rt::IoBackend {
   std::condition_variable space_cv_;  // stalled writers wait here
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> dirty_total_{0};
+  obs::RoleCpu flusher_cpu_;  // outlives the flushers, which are members of it
   std::vector<std::jthread> flushers_;
 
   // Registry-backed counters ("bb.*").
@@ -239,6 +255,7 @@ class BurstBufferBackend final : public rt::IoBackend {
   obs::Counter& c_bytes_in_;
   obs::Counter& c_flushed_bytes_;
   obs::Counter& c_write_through_bytes_;
+  obs::Counter& c_bypassed_writes_;  // acked writes sent straight to the backend
   obs::Counter& c_read_bytes_;
   obs::Counter& c_read_hit_bytes_;
   obs::Counter& c_evictions_;

@@ -19,6 +19,14 @@ ExtentIndex::Map::iterator ExtentIndex::first_touching(std::uint64_t offset, std
   return extents_.end();
 }
 
+bool ExtentIndex::touches_dirty(std::uint64_t offset, std::uint64_t len) {
+  for (auto it = first_touching(offset, len); it != extents_.end() && it->first <= offset + len;
+       ++it) {
+    if (it->second.dirty) return true;
+  }
+  return false;
+}
+
 void ExtentIndex::account_remove(const Extent& e) {
   data_bytes_ -= e.len;
   if (e.dirty) dirty_bytes_ -= e.len;

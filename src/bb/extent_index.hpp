@@ -78,6 +78,8 @@ class ExtentIndex {
   // backend after a newer one.
   void begin_flush(std::uint64_t start, std::uint64_t len);
   void end_flush(std::uint64_t start, std::uint64_t len);
+  // True if a dirty extent overlaps or directly adjoins [offset, offset+len).
+  [[nodiscard]] bool touches_dirty(std::uint64_t offset, std::uint64_t len);
   // True if a flush in flight overlaps [offset, offset+len).
   [[nodiscard]] bool flush_in_flight(std::uint64_t offset, std::uint64_t len) const;
 

@@ -13,20 +13,6 @@
 namespace iofwd::rt {
 
 // ---------------------------------------------------------------------------
-// WriteBehindScope
-// ---------------------------------------------------------------------------
-
-namespace {
-thread_local bool t_write_behind = false;
-}  // namespace
-
-WriteBehindScope::WriteBehindScope() : outer_(std::exchange(t_write_behind, true)) {}
-
-WriteBehindScope::~WriteBehindScope() { t_write_behind = outer_; }
-
-bool WriteBehindScope::active() { return t_write_behind; }
-
-// ---------------------------------------------------------------------------
 // MemBackend
 // ---------------------------------------------------------------------------
 

@@ -22,6 +22,7 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/status.hpp"
@@ -80,25 +81,38 @@ class MemBackend final : public IoBackend {
   std::map<std::string, std::shared_ptr<File>> by_path_;
 };
 
-// Write-behind (DESIGN.md §9). While a WriteBehindScope lives on a thread,
-// FileBackend starts disk writeback of every large write that thread makes.
-// The burst buffer opens one around its write-back of staged extents, which
-// an fsync or close barrier follows; other writes skip it, because without a
-// following fsync the extra call is pure cost. A thread-local scope rather
-// than an IoBackend call, so it reaches the FileBackend through any decorator
-// (fault injection, timing) that forwards on the calling thread.
-class WriteBehindScope {
+// A thread-local flag that holds while a scope object lives on the calling
+// thread; scopes nest. A flag rather than an IoBackend call, so it reaches a
+// backend through any decorator (fault injection, timing) that forwards on
+// the calling thread, and IoBackend's signature stays as it is.
+template <class Tag>
+class ThreadScope {
  public:
-  WriteBehindScope();
-  ~WriteBehindScope();
-  WriteBehindScope(const WriteBehindScope&) = delete;
-  WriteBehindScope& operator=(const WriteBehindScope&) = delete;
+  ThreadScope() : outer_(std::exchange(active_, true)) {}
+  ~ThreadScope() { active_ = outer_; }
+  ThreadScope(const ThreadScope&) = delete;
+  ThreadScope& operator=(const ThreadScope&) = delete;
 
-  [[nodiscard]] static bool active();
+  [[nodiscard]] static bool active() { return active_; }
 
  private:
-  bool outer_;  // scopes nest
+  static inline thread_local bool active_ = false;
+  bool outer_;
 };
+
+// Write-behind (DESIGN.md §9). While a WriteBehindScope lives on a thread,
+// FileBackend starts disk writeback of every large write that thread makes.
+// The burst buffer opens one around its write-back of staged extents and
+// around an acked write it sends straight to the backend, both of which an
+// fsync or close barrier follows; other writes skip it, because without a
+// following fsync the extra call is pure cost.
+using WriteBehindScope = ThreadScope<struct WriteBehindTag>;
+
+// Acked write (DESIGN.md §9). The server opens an AckedWriteScope around the
+// execution of a write it has already acknowledged (async staging). The
+// burst buffer may then send a large fresh write straight to the backend
+// instead of staging it, because staging it buys no latency for the client.
+using AckedWriteScope = ThreadScope<struct AckedWriteTag>;
 
 class FileBackend final : public IoBackend {
  public:

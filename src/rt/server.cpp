@@ -67,7 +67,10 @@ IonServer::IonServer(std::unique_ptr<IoBackend> backend, ServerConfig cfg)
       g_queue_batches_(reg_->gauge("server.queue_batches")),
       g_bml_in_use_(reg_->gauge("server.bml_in_use")),
       g_bml_blocked_(reg_->gauge("server.bml_blocked")),
-      g_bml_high_watermark_(reg_->gauge("server.bml_high_watermark")) {
+      g_bml_high_watermark_(reg_->gauge("server.bml_high_watermark")),
+      g_cpu_us_lane_(reg_->gauge("server.cpu_us.lane")),
+      g_cpu_us_worker_(reg_->gauge("server.cpu_us.worker")),
+      g_cpu_us_flusher_(reg_->gauge("server.cpu_us.flusher")) {
   assert(backend_ && "IonServer needs a backend");
   reg_->gauge("server.sched.policy").set(static_cast<std::int64_t>(cfg_.sched));
   for (std::size_t i = 0; i < kAdmissions.size(); ++i) {
@@ -280,7 +283,12 @@ obs::Snapshot IonServer::metrics() const {
   g_bml_in_use_.set(static_cast<std::int64_t>(pool_.in_use()));
   g_bml_blocked_.set(static_cast<std::int64_t>(pool_.blocked_acquires()));
   g_bml_high_watermark_.set(static_cast<std::int64_t>(pool_.high_watermark()));
-  if (bb_) bb_->refresh_gauges();
+  g_cpu_us_lane_.set(static_cast<std::int64_t>(lane_cpu_.total_us()));
+  g_cpu_us_worker_.set(static_cast<std::int64_t>(worker_cpu_.total_us()));
+  if (bb_) {
+    bb_->refresh_gauges();
+    g_cpu_us_flusher_.set(static_cast<std::int64_t>(bb_->flusher_cpu_us()));
+  }
   {
     // The hysteresis only re-evaluates on the next write, so a server that
     // degraded and then went idle would never close its interval: accrue

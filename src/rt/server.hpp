@@ -41,6 +41,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/thread_cpu.hpp"
 #include "obs/trace.hpp"
 #include "rt/descriptor_db.hpp"
 #include "rt/admission.hpp"
@@ -423,6 +424,12 @@ class IonServer {
   obs::Gauge& g_bml_in_use_;
   obs::Gauge& g_bml_blocked_;
   obs::Gauge& g_bml_high_watermark_;
+  // CPU time by thread role (server.cpu_us.*), read by metrics().
+  obs::RoleCpu lane_cpu_;
+  obs::RoleCpu worker_cpu_;
+  obs::Gauge& g_cpu_us_lane_;
+  obs::Gauge& g_cpu_us_worker_;
+  obs::Gauge& g_cpu_us_flusher_;
 
   std::mutex db_mu_;
   std::condition_variable db_cv_;

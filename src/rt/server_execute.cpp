@@ -43,6 +43,7 @@ void IonServer::note_completed(int fd, std::uint64_t seq, const Status& st) {
 }
 
 void IonServer::worker_loop(int lane) {
+  const obs::RoleCpu::Member cpu(worker_cpu_);
   if (tracer_ != nullptr) tracer_->set_thread_name(lane, "worker " + std::to_string(lane));
   while (true) {
     auto batch = queue_.pop_batch(kMultiplexDepth);
@@ -107,7 +108,12 @@ void IonServer::execute_task(Task& t, int lane) {
     return;
   }
   if (t.req.op == OpCode::write) {
+    // The client already has its ack: the burst buffer may send a large
+    // fresh write straight to the backend rather than stage it (DESIGN.md §9).
+    std::optional<AckedWriteScope> acked;
+    if (t.verdict == Verdict::async_stage) acked.emplace();
     const Status st = do_write(t.req, t.payload, {});
+    acked.reset();
     observe_op(t.req, t.arrival, st);  // before note_completed — see above
     if (t.verdict == Verdict::async_stage) {
       note_completed(t.req.fd, t.db_seq, st);

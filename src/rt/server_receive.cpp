@@ -40,6 +40,7 @@ bool IonServer::degraded_now(std::size_t queue_depth) {
 }
 
 void IonServer::lane_loop(Lane& lane) {
+  const obs::RoleCpu::Member cpu(lane_cpu_);
   std::vector<Event> ready;
   std::vector<std::byte> scratch(64 * 1024);
   while (true) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -445,6 +446,137 @@ std::uint64_t server_writebacks(std::uint64_t bb_bytes) {
 TEST(BurstBuffer, WriteBackStartsWriteBehindAndBypassingWritesDoNot) {
   EXPECT_GE(server_writebacks(8_MiB), 1u) << "staged extents were written back without it";
   EXPECT_EQ(server_writebacks(0), 0u) << "a write with the burst buffer off started writeback";
+}
+
+// ---------------------------------------------------------------------------
+// Acked-write bypass (DESIGN.md §9): a large fresh write the server already
+// acked goes straight to the backend while the cache is above its low
+// watermark; every other write stages.
+// ---------------------------------------------------------------------------
+
+// 1 MiB cache that never flushes by itself; one 256 KiB extent puts it above
+// its 0.2 low watermark.
+BurstBufferConfig bypass_config() {
+  BurstBufferConfig cfg = quiet_config(1_MiB);
+  cfg.low_watermark = 0.2;
+  cfg.flush_idle_ms = 0;
+  return cfg;
+}
+
+TEST(BurstBuffer, AckedLargeFreshWriteBypassesAboveTheLowWatermark) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("iofwd_bypass_" + std::to_string(::getpid()));
+  BurstBufferConfig cfg = bypass_config();
+  cfg.journal_dir = dir.string();
+  {
+    Fixture fx(cfg);
+    ASSERT_TRUE(fx.bbuf.open(1, "f").is_ok());
+    ASSERT_TRUE(fx.bbuf.write(1, 0, pattern(256_KiB, 80)).is_ok());
+    const auto before = fx.bbuf.metrics();
+    const auto w = pattern(256_KiB, 81);
+    {
+      const rt::AckedWriteScope acked;
+      ASSERT_TRUE(fx.bbuf.write(1, 2_MiB, w).is_ok());
+    }
+    const auto after = fx.bbuf.metrics();
+    EXPECT_EQ(after.counter("bb.bypassed_writes"), 1u);
+    EXPECT_EQ(after.gauge("bb.cached_bytes"), before.gauge("bb.cached_bytes"));
+    EXPECT_EQ(after.counter("bb.journal.appends"), before.counter("bb.journal.appends"))
+        << "a bypassed write is in the backend, not the journal";
+    EXPECT_EQ(after.counter("bb.write_through_bytes"), 256_KiB);
+    const auto backend = fx.mem->snapshot("f");
+    ASSERT_EQ(backend.size(), 2_MiB + 256_KiB);
+    EXPECT_TRUE(std::equal(w.begin(), w.end(), backend.begin() + 2_MiB));
+    std::vector<std::byte> out(w.size());
+    ASSERT_TRUE(fx.bbuf.read(1, 2_MiB, out).is_ok());
+    EXPECT_EQ(out, w);
+    EXPECT_TRUE(fx.bbuf.close(1).is_ok());
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BurstBuffer, WritesOutsideTheBypassRuleStage) {
+  // Each case writes 256 KiB unless noted, and must stage: the cache grows
+  // and the backend sees nothing.
+  struct Case {
+    const char* name;
+    bool acked;
+    bool over_low;            // a 256 KiB extent at 0 is staged first
+    std::uint64_t offset;
+    std::size_t len;
+  };
+  const Case cases[] = {
+      {"not acked", false, true, 2_MiB, 256_KiB},
+      {"below the low watermark", true, false, 2_MiB, 256_KiB},
+      {"overlaps a dirty extent", true, true, 128_KiB, 256_KiB},
+      {"adjoins a dirty extent", true, true, 256_KiB, 256_KiB},
+      {"under 64 KiB", true, true, 2_MiB, BurstBufferBackend::kBypassBytes - 1},
+  };
+  for (const Case& c : cases) {
+    Fixture fx(bypass_config());
+    ASSERT_TRUE(fx.bbuf.open(1, "f").is_ok());
+    if (c.over_low) {
+      ASSERT_TRUE(fx.bbuf.write(1, 0, pattern(256_KiB, 82)).is_ok());
+    }
+    const auto before = fx.bbuf.metrics().gauge("bb.cached_bytes");
+    {
+      std::optional<rt::AckedWriteScope> acked;
+      if (c.acked) acked.emplace();
+      ASSERT_TRUE(fx.bbuf.write(1, c.offset, pattern(c.len, 83)).is_ok()) << c.name;
+    }
+    const auto m = fx.bbuf.metrics();
+    EXPECT_EQ(m.counter("bb.bypassed_writes"), 0u) << c.name;
+    EXPECT_GT(m.gauge("bb.cached_bytes"), before) << c.name;
+    EXPECT_TRUE(fx.mem->snapshot("f").empty()) << c.name;
+    EXPECT_TRUE(fx.bbuf.close(1).is_ok());
+  }
+}
+
+// Strided N-to-1 checkpoint burst twice the cache from four clients, then
+// fsync and close on each: the bypassed-write count, with the backend's file
+// checked byte for byte.
+std::uint64_t checkpoint_bypasses(rt::ExecModel exec) {
+  constexpr int kClients = 4;
+  constexpr std::uint64_t kBlocks = 32;  // 8 MiB of 256 KiB blocks
+  auto mem_owned = std::make_unique<MemBackend>();
+  auto* mem = mem_owned.get();
+  rt::ServerConfig cfg;
+  cfg.exec = exec;
+  cfg.bb_bytes = 4_MiB;
+  rt::IonServer server(std::move(mem_owned), cfg);
+  std::vector<std::jthread> clients;
+  std::atomic<int> failures{0};
+  for (int c = 0; c < kClients; ++c) {
+    auto [se, ce] = rt::SocketTransport::make_socketpair().value();
+    server.serve(std::move(se));
+    clients.emplace_back([&failures, c, stream = std::move(ce)]() mutable {
+      rt::Client client(std::move(stream));
+      const int fd = c + 1;
+      bool ok = client.open(fd, "ckpt").is_ok();
+      for (std::uint64_t b = static_cast<std::uint64_t>(c); b < kBlocks; b += kClients) {
+        ok = ok && client.write(fd, b * 256_KiB, pattern(256_KiB, 90 + b)).is_ok();
+      }
+      ok = ok && client.fsync(fd).is_ok() && client.close(fd).is_ok();
+      if (!ok) failures.fetch_add(1);
+    });
+  }
+  clients.clear();  // joins
+  EXPECT_EQ(failures.load(), 0);
+  const auto all = mem->snapshot("ckpt");
+  EXPECT_EQ(all.size(), kBlocks * 256_KiB);
+  for (std::uint64_t b = 0; b < kBlocks && all.size() == kBlocks * 256_KiB; ++b) {
+    const auto want = pattern(256_KiB, 90 + b);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                           all.begin() + static_cast<std::ptrdiff_t>(b * 256_KiB)))
+        << "block " << b;
+  }
+  return server.metrics().counter("bb.bypassed_writes");
+}
+
+TEST(BurstBuffer, CheckpointBurstBypassesOnlyUnderAsyncStaging) {
+  EXPECT_GT(checkpoint_bypasses(rt::ExecModel::work_queue_async), 0u);
+  EXPECT_EQ(checkpoint_bypasses(rt::ExecModel::work_queue), 0u)
+      << "a synchronously staged write is not acked yet";
 }
 
 TEST(BurstBuffer, ServerDestroyedWithDirtyExtentsOutstanding) {

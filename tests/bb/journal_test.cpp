@@ -527,5 +527,53 @@ TEST(JournalRecovery, OverwriteDuringAFlushRecoversTheNewerBytes) {
   open_gate(1 << 20, false);
 }
 
+TEST(JournalRecovery, BypassedWriteOverAFlushedExtentSurvivesACrash) {
+  // S is staged and fsynced (flushed, retired, still cached clean). An acked
+  // write W over the same range then goes straight to the backend with no
+  // journal record. Recovery must not resurrect S over W.
+  TempDir td;
+  auto mem = std::make_shared<rt::MemBackend>();
+  struct View final : rt::IoBackend {
+    rt::MemBackend* m;
+    explicit View(rt::MemBackend* mm) : m(mm) {}
+    Status open(int fd, const std::string& p) override { return m->open(fd, p); }
+    Result<std::uint64_t> write(int fd, std::uint64_t off,
+                                std::span<const std::byte> d) override {
+      return m->write(fd, off, d);
+    }
+    Result<std::uint64_t> read(int fd, std::uint64_t off, std::span<std::byte> o) override {
+      return m->read(fd, off, o);
+    }
+    Status fsync(int fd) override { return m->fsync(fd); }
+    Status close(int fd) override { return m->close(fd); }
+    Result<std::uint64_t> size(int fd) override { return m->size(fd); }
+  };
+  const auto s_bytes = pattern(256 << 10, 0x777);
+  const auto w_bytes = pattern(256 << 10, 0x888);
+  {
+    obs::MetricRegistry reg;
+    BurstBufferConfig cfg = journaled_config(td.path, &reg);
+    cfg.low_watermark = 0.01;  // S alone (256 KiB of 16 MiB) is above it
+    cfg.flush_idle_ms = 0;
+    BurstBufferBackend bbuf(std::make_unique<View>(mem.get()), cfg);
+    ASSERT_TRUE(bbuf.open(1, "f").is_ok());
+    ASSERT_TRUE(bbuf.write(1, 0, s_bytes).is_ok());
+    ASSERT_TRUE(bbuf.fsync(1).is_ok());
+    const std::uint64_t appends = reg.snapshot().counters.at("bb.journal.appends");
+    {
+      const rt::AckedWriteScope acked;
+      ASSERT_TRUE(bbuf.write(1, 0, w_bytes).is_ok());
+    }
+    const auto snap = reg.snapshot();
+    EXPECT_EQ(snap.counters.at("bb.bypassed_writes"), 1u);
+    EXPECT_EQ(snap.counters.at("bb.journal.appends"), appends);
+    bbuf.crash_discard();
+  }
+  obs::MetricRegistry reg;
+  BurstBufferBackend bbuf(std::make_unique<View>(mem.get()), journaled_config(td.path, &reg));
+  bbuf.drain_all();
+  EXPECT_EQ(mem->snapshot("f"), w_bytes) << "recovery resurrected the flushed extent";
+}
+
 }  // namespace
 }  // namespace iofwd::bb

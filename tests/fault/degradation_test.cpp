@@ -290,35 +290,79 @@ TEST(Degradation, IdleDegradedServerReportsTheOpenInterval) {
   // The hysteresis re-evaluates only on a write, so a server that degraded
   // during a burst and then went idle stays degraded. metrics() must count
   // that open interval, and keep counting it while the server idles.
-  ClusterOptions o;
-  o.server.exec = rt::ExecModel::work_queue_async;
-  o.server.workers = 1;
-  o.server.degraded_queue_depth = 2;  // exits at depth 0: no write of the burst sees it
-  o.clients = 0;
-  TestCluster tc(o);
-  tc.backend_plan().add({.op = OpKind::write,
-                         .probability = 1.0,
-                         .transient = false,
-                         .error = Errc::ok,
-                         .latency = 30'000us});
+  // The single worker holds the first write at a gate until the other five
+  // are queued, so they meet queue depths 0-4: the third of them degrades
+  // the server, and no later write meets the empty queue that would end it.
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool held = false;  // the first write is waiting at the gate
+    bool open = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  struct FirstWriteGated final : rt::IoBackend {
+    rt::MemBackend mem;
+    std::shared_ptr<Gate> g;
+    explicit FirstWriteGated(std::shared_ptr<Gate> gg) : g(std::move(gg)) {}
+    Status open(int fd, const std::string& p) override { return mem.open(fd, p); }
+    Result<std::uint64_t> write(int fd, std::uint64_t off,
+                                std::span<const std::byte> d) override {
+      {
+        std::unique_lock lk(g->mu);
+        if (!g->held) {
+          g->held = true;
+          g->cv.notify_all();
+          g->cv.wait(lk, [&] { return g->open; });
+        }
+      }
+      return mem.write(fd, off, d);
+    }
+    Result<std::uint64_t> read(int fd, std::uint64_t off, std::span<std::byte> o) override {
+      return mem.read(fd, off, o);
+    }
+    Status fsync(int fd) override { return mem.fsync(fd); }
+    Status close(int fd) override { return mem.close(fd); }
+    Result<std::uint64_t> size(int fd) override { return mem.size(fd); }
+  };
 
-  auto stream = tc.factory()();
-  ASSERT_TRUE(stream.is_ok());
-  rt::AsyncClient client(std::move(stream).value(), /*window=*/8);
+  rt::ServerConfig cfg;
+  cfg.exec = rt::ExecModel::work_queue_async;
+  cfg.workers = 1;
+  cfg.degraded_queue_depth = 2;  // exits at depth 0
+  rt::IonServer server(std::make_unique<FirstWriteGated>(gate), cfg);
+  auto [se, ce] = rt::SocketTransport::make_socketpair().value();
+  server.serve(std::move(se));
+  rt::AsyncClient client(std::move(ce), /*window=*/8);
   ASSERT_TRUE(client.open(1, "q").get().is_ok());
   const auto data = pattern(4_KiB, 7);
   std::vector<std::future<Status>> futures;
-  for (int i = 0; i < 6; ++i) {
+  futures.push_back(client.write(1, 0, data));
+  {
+    std::unique_lock lk(gate->mu);
+    ASSERT_TRUE(gate->cv.wait_for(lk, 10s, [&] { return gate->held; }))
+        << "the worker never took the first write";
+  }
+  for (int i = 1; i < 6; ++i) {
     futures.push_back(client.write(1, static_cast<std::uint64_t>(i) * data.size(), data));
+  }
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (server.metrics().gauge("server.queue_depth") < 5 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
+  {
+    std::scoped_lock lk(gate->mu);
+    gate->open = true;
+    gate->cv.notify_all();
   }
   for (auto& f : futures) EXPECT_TRUE(f.get().is_ok());
   ASSERT_TRUE(client.fsync(1).get().is_ok());  // queue drained, no write since
 
-  ASSERT_GE(tc.server().metrics().counter("server.degraded_enters"), 1u);
-  const std::uint64_t first = tc.server().metrics().counter("server.degraded_ns");
+  ASSERT_GE(server.metrics().counter("server.degraded_enters"), 1u);
+  const std::uint64_t first = server.metrics().counter("server.degraded_ns");
   EXPECT_GT(first, 0u) << "the open degraded interval is missing";
   std::this_thread::sleep_for(2ms);
-  EXPECT_GT(tc.server().metrics().counter("server.degraded_ns"), first);
+  EXPECT_GT(server.metrics().counter("server.degraded_ns"), first);
   EXPECT_TRUE(client.close_fd(1).get().is_ok());
 }
 

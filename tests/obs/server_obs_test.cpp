@@ -84,6 +84,36 @@ TEST(ServerObs, BurstBufferSharesTheRegistry) {
   EXPECT_EQ(snap.counter("bb.bytes_in"), 64_KiB);
 }
 
+TEST(ServerObs, CpuTimeByRoleGrowsWhileTheBurstBufferFlushes) {
+  // server.cpu_us.{lane,worker,flusher} read each role's thread CPU clocks
+  // when the snapshot is taken. Each burst is twice the cache, so the lanes
+  // receive it, the workers stage it and the flushers write it back.
+  ServerConfig cfg;
+  cfg.exec = ExecModel::work_queue_async;
+  cfg.bb_bytes = 1_MiB;
+  TestCluster tc = obs_cluster(cfg);
+  ForwardingClient& client = tc.client();
+  ASSERT_TRUE(client.open(1, "f").is_ok());
+  // 32 KiB writes always stage: they are under the acked-write bypass size.
+  const std::vector<std::byte> data(32_KiB, std::byte{0x3c});
+  const auto burst = [&](std::uint64_t base) {
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      ASSERT_TRUE(client.write(1, base + i * 2 * data.size(), data).is_ok());
+    }
+    ASSERT_TRUE(client.fsync(1).is_ok());
+  };
+  const char* const roles[] = {"server.cpu_us.lane", "server.cpu_us.worker",
+                               "server.cpu_us.flusher"};
+  burst(0);
+  const obs::Snapshot first = tc.server().metrics();
+  for (const char* role : roles) EXPECT_GT(first.gauge(role), 0) << role;
+  burst(16_MiB);
+  const obs::Snapshot second = tc.server().metrics();
+  for (const char* role : roles) EXPECT_GT(second.gauge(role), first.gauge(role)) << role;
+  EXPECT_GT(second.counter("bb.flushed_bytes"), 0u);
+  ASSERT_TRUE(client.close(1).is_ok());
+}
+
 TEST(ServerObs, FlightRecorderCapturesCompletedOps) {
   TestCluster tc = obs_cluster();
   run_ops(tc.client());

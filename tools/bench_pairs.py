@@ -3,6 +3,8 @@
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 --seconds 20 \
         --workload ckpt_burst --seed 900
+    python3 tools/bench_pairs.py --aa --parent HEAD~1 --pairs 10 --seconds 20 \
+        --workload ckpt_burst --seed 950
     python3 tools/bench_pairs.py --self-test
     python3 tools/bench_pairs.py --check [DIR]
 
@@ -16,8 +18,14 @@ For every workload it appends one entry to BENCH_<workload>.json at the
 repository root: commit, parent, date, host, run length, pairs, and for each
 end-to-end and per-layer metric BENCHMARK.json names that the runs report,
 both medians, the parent's interquartile range, the change/parent ratio and
-the number of pairs the change won. Ratios and wins are the claim; absolute
-numbers are context for the host.
+the number of pairs the change won, and the spread (lowest, highest) of the
+per-pair ratios. Ratios and wins are the claim; absolute numbers are context
+for the host.
+
+--aa runs the parent against itself (an A/A calibration) and marks the entry
+"aa": true. Its win counts and ratio spreads are what noise alone produces
+on this host: a claim counts only if its ratio lies outside the A/A spread
+and it wins more pairs than the A/A run did.
 
 --check validates the schema of every BENCH_*.json in DIR (default: the
 repository root); --self-test runs the aggregation and the schema check on a
@@ -119,9 +127,11 @@ def aggregate(pairs, specs):
         lower = spec.get("better") == "lower"
         wins = sum(1 for p, c in got if (c < p if lower else c > p))
         pm, cm = statistics.median(par), statistics.median(chg)
+        ratios = [c / p for p, c in got if p]
         out[name] = {"unit": spec.get("unit", ""), "better": spec.get("better", ""),
                      "parent_median": pm, "change_median": cm, "parent_iqr": quartiles(par),
-                     "ratio": (cm / pm) if pm else None, "wins": wins, "n": len(got)}
+                     "ratio": (cm / pm) if pm else None, "wins": wins, "n": len(got),
+                     "ratio_spread": [min(ratios), max(ratios)] if ratios else None}
     return out
 
 
@@ -144,8 +154,18 @@ def check_entry(e):
             errs.append("metrics.%s.parent_iqr: not [q1, q3]" % name)
         if isinstance(m.get("wins"), int) and not 0 <= m["wins"] <= m.get("n", -1):
             errs.append("metrics.%s.wins: outside [0, n]" % name)
+        spread = m.get("ratio_spread")
+        if spread is not None and not (isinstance(spread, list) and len(spread) == 2
+                                       and spread[0] <= spread[1]):
+            errs.append("metrics.%s.ratio_spread: not [lowest, highest]" % name)
+        elif spread is None and e.get("aa") and m.get("parent_median"):
+            errs.append("metrics.%s.ratio_spread: missing on an A/A entry" % name)
     if isinstance(e.get("pairs"), int) and e["pairs"] < 1:
         errs.append("pairs: < 1")
+    if "aa" in e and not isinstance(e["aa"], bool):
+        errs.append("aa: not bool")
+    if e.get("aa") and e.get("commit") != e.get("parent"):
+        errs.append("aa: commit and parent differ")
     return errs
 
 
@@ -171,8 +191,8 @@ def check_files(directory):
     return 0 if bad == 0 else 1
 
 
-def make_entry(commit, parent, workload, seconds, seeds, trace, pairs, specs, host):
-    return {"commit": commit, "parent": parent,
+def make_entry(commit, parent, workload, seconds, seeds, trace, pairs, specs, host, aa=False):
+    return {"commit": commit, "parent": parent, "aa": aa,
             "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
             "host": host, "workload": workload, "seconds": seconds, "pairs": len(pairs),
             "seeds": seeds, "trace": trace,
@@ -204,8 +224,17 @@ def self_test():
           and m["goodput_mib_s"]["wins"] == 2 and m["setup_s"]["wins"] == 0
           and m["round_s"]["parent_iqr"] == [0.215, 0.225] and entry["all_correct"]
           and not check_entry(entry))
+    ok = ok and m["round_s"]["ratio_spread"] == [0.19 / 0.23, 0.215 / 0.21]
     broken = dict(entry, pairs=0, host={"cpu": "x"})
     ok = ok and len(check_entry(broken)) == 3
+    # A/A: the same commit on both sides, marked, with every spread present.
+    aa = make_entry("p" * 40, "p" * 40, "ckpt_burst", 1, [1, 2, 3], 0, pairs, specs,
+                    {"cpu": "test", "nproc": 1, "fs": "test"}, aa=True)
+    ok = ok and aa["aa"] is True and not check_entry(aa)
+    aa_broken = dict(aa, commit="c" * 40, metrics={
+        "round_s": dict(aa["metrics"]["round_s"], ratio_spread=None),
+        "setup_s": dict(aa["metrics"]["setup_s"], ratio_spread=[1.1, 0.9])})
+    ok = ok and len(check_entry(aa_broken)) == 3
     print(json.dumps({"self_test": "pass" if ok else "fail"}))
     return 0 if ok else 1
 
@@ -220,6 +249,8 @@ def main():
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--workload", action="append",
                     help="repeatable; default: every workload in BENCHMARK.json")
+    ap.add_argument("--aa", action="store_true",
+                    help="A/A calibration: run --parent against itself")
     ap.add_argument("--self-test", action="store_true")
     ap.add_argument("--check", nargs="?", const=ROOT, metavar="DIR")
     args = ap.parse_args()
@@ -230,7 +261,8 @@ def main():
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         workloads = args.workload or [w["name"] for w in json.load(f)["workloads"]]
-    parent, change = git("rev-parse", args.parent), git("rev-parse", args.change)
+    parent = git("rev-parse", args.parent)
+    change = parent if args.aa else git("rev-parse", args.change)
     trees = {"parent": export(parent), "change": export(change)}
     specs, host = metric_specs(), host_info()
     seconds = int(args.seconds) if args.seconds == int(args.seconds) else args.seconds
@@ -252,7 +284,8 @@ def main():
                                      res["change"]["metrics"][n]["value"])
                 for n in ("setup_s", "goodput_mib_s", "round_s")
                 if n in res["parent"]["metrics"] and n in res["change"]["metrics"])), flush=True)
-        entry = make_entry(change, parent, workload, seconds, seeds, args.trace, pairs, specs, host)
+        entry = make_entry(change, parent, workload, seconds, seeds, args.trace, pairs, specs, host,
+                           aa=args.aa)
         path = os.path.join(ROOT, "BENCH_%s.json" % workload)
         entries = []
         if os.path.isfile(path):
@@ -265,9 +298,11 @@ def main():
         for name in ("setup_s", "goodput_mib_s", "round_s"):
             m = entry["metrics"].get(name)
             if m:
-                print("%s %s: %.4g -> %.4g (ratio %.3f, parent IQR %.4g-%.4g), change won %d/%d"
+                print("%s %s: %.4g -> %.4g (ratio %.3f, pair ratios %.3f-%.3f, parent IQR "
+                      "%.4g-%.4g), change won %d/%d"
                       % (workload, name, m["parent_median"], m["change_median"], m["ratio"] or 0,
-                         m["parent_iqr"][0], m["parent_iqr"][1], m["wins"], m["n"]))
+                         *(m["ratio_spread"] or [0, 0]), m["parent_iqr"][0], m["parent_iqr"][1],
+                         m["wins"], m["n"]))
     return 0
 
 
