@@ -439,12 +439,12 @@ Result<std::uint64_t> BurstBufferBackend::write(int fd, std::uint64_t offset,
 }
 
 bool BurstBufferBackend::bypasses(Desc& d, std::uint64_t offset, std::uint64_t len) const {
-  // The client has its ack, so the cache can only absorb the write, and
-  // above the low watermark it would only hold it for the flushers. A write
+  // The client has its ack, so the cache can only absorb the write, and a
+  // large write touching no dirty extent has nothing to absorb into. A write
   // touching a dirty extent stages, so merges, sequential coalescing and the
   // journal's record order stay as they are; a clean extent under the range
   // is dropped by write_through, as for any bypassing write.
-  if (!rt::AckedWriteScope::active() || len < kBypassBytes || !over_low()) return false;
+  if (!rt::AckedWriteScope::active() || len < kBypassBytes) return false;
   std::scoped_lock lk(d.mu);
   return !d.index.touches_dirty(offset, len);
 }

@@ -21,9 +21,9 @@
 //     than `write_through_bytes` bypass the cache after invalidating any
 //     overlapping extents.
 //   * A write the server has already acked (rt::AckedWriteScope) bypasses
-//     the cache too when it is large, the cache is above its low watermark
-//     and it touches no dirty extent: staging it would buy no latency, only
-//     a copy, a journal append and a later write-back (DESIGN.md §9).
+//     the cache too when it is large and touches no dirty extent: staging it
+//     would buy no latency, only a copy, a journal append and a later
+//     write-back (DESIGN.md §9).
 #pragma once
 
 #include <atomic>

@@ -8,7 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <future>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -449,21 +452,19 @@ TEST(BurstBuffer, WriteBackStartsWriteBehindAndBypassingWritesDoNot) {
 }
 
 // ---------------------------------------------------------------------------
-// Acked-write bypass (DESIGN.md §9): a large fresh write the server already
-// acked goes straight to the backend while the cache is above its low
-// watermark; every other write stages.
+// Acked-write bypass (DESIGN.md §9): a large write the server already acked
+// goes straight to the backend unless it touches a dirty extent; every other
+// write stages.
 // ---------------------------------------------------------------------------
 
-// 1 MiB cache that never flushes by itself; one 256 KiB extent puts it above
-// its 0.2 low watermark.
+// 16 MiB cache that never flushes by itself.
 BurstBufferConfig bypass_config() {
-  BurstBufferConfig cfg = quiet_config(1_MiB);
-  cfg.low_watermark = 0.2;
+  BurstBufferConfig cfg = quiet_config();
   cfg.flush_idle_ms = 0;
   return cfg;
 }
 
-TEST(BurstBuffer, AckedLargeFreshWriteBypassesAboveTheLowWatermark) {
+TEST(BurstBuffer, AckedLargeFreshWriteBypassesAPartlyFullCache) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("iofwd_bypass_" + std::to_string(::getpid()));
   BurstBufferConfig cfg = bypass_config();
@@ -495,29 +496,68 @@ TEST(BurstBuffer, AckedLargeFreshWriteBypassesAboveTheLowWatermark) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(BurstBuffer, AckedLargeFreshWriteBypassesAnEmptyCache) {
+  // No watermark in the rule: the very first write of a burst bypasses too.
+  Fixture fx(bypass_config());
+  ASSERT_TRUE(fx.bbuf.open(1, "f").is_ok());
+  const auto w = pattern(256_KiB, 84);
+  {
+    const rt::AckedWriteScope acked;
+    ASSERT_TRUE(fx.bbuf.write(1, 0, w).is_ok());
+  }
+  const auto m = fx.bbuf.metrics();
+  EXPECT_EQ(m.counter("bb.bypassed_writes"), 1u);
+  EXPECT_EQ(m.gauge("bb.cached_bytes"), 0);
+  EXPECT_EQ(fx.mem->snapshot("f"), w);
+  EXPECT_TRUE(fx.bbuf.close(1).is_ok());
+}
+
+TEST(BurstBuffer, AckedWriteAdjoiningADirtyExtentGrowsIt) {
+  // A sequential stream that started staging with a small write keeps
+  // staging: each large acked write adjoins the dirty extent and grows it,
+  // and the fsync writes the whole run back in one call.
+  Fixture fx(bypass_config());
+  ASSERT_TRUE(fx.bbuf.open(1, "f").is_ok());
+  std::vector<std::byte> want;
+  {
+    const rt::AckedWriteScope acked;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      const auto w = pattern(i == 0 ? 32_KiB : 256_KiB, 85 + i);
+      ASSERT_TRUE(fx.bbuf.write(1, want.size(), w).is_ok());
+      want.insert(want.end(), w.begin(), w.end());
+    }
+  }
+  auto m = fx.bbuf.metrics();
+  EXPECT_EQ(m.counter("bb.bypassed_writes"), 0u);
+  EXPECT_EQ(m.counter("bb.writes_absorbed"), 2u) << "the later writes grew the first extent";
+  EXPECT_EQ(m.gauge("bb.dirty_bytes"), static_cast<std::int64_t>(want.size()));
+  EXPECT_TRUE(fx.mem->snapshot("f").empty());
+  ASSERT_TRUE(fx.bbuf.fsync(1).is_ok());
+  m = fx.bbuf.metrics();
+  EXPECT_EQ(m.counter("bb.backend_writes"), 1u) << "one run, one write-back";
+  EXPECT_EQ(fx.mem->snapshot("f"), want);
+  EXPECT_TRUE(fx.bbuf.close(1).is_ok());
+}
+
 TEST(BurstBuffer, WritesOutsideTheBypassRuleStage) {
   // Each case writes 256 KiB unless noted, and must stage: the cache grows
-  // and the backend sees nothing.
+  // and the backend sees nothing. A 256 KiB extent at 0 is staged first.
   struct Case {
     const char* name;
     bool acked;
-    bool over_low;            // a 256 KiB extent at 0 is staged first
     std::uint64_t offset;
     std::size_t len;
   };
   const Case cases[] = {
-      {"not acked", false, true, 2_MiB, 256_KiB},
-      {"below the low watermark", true, false, 2_MiB, 256_KiB},
-      {"overlaps a dirty extent", true, true, 128_KiB, 256_KiB},
-      {"adjoins a dirty extent", true, true, 256_KiB, 256_KiB},
-      {"under 64 KiB", true, true, 2_MiB, BurstBufferBackend::kBypassBytes - 1},
+      {"not acked", false, 2_MiB, 256_KiB},
+      {"overlaps a dirty extent", true, 128_KiB, 256_KiB},
+      {"adjoins a dirty extent", true, 256_KiB, 256_KiB},
+      {"under 64 KiB", true, 2_MiB, BurstBufferBackend::kBypassBytes - 1},
   };
   for (const Case& c : cases) {
     Fixture fx(bypass_config());
     ASSERT_TRUE(fx.bbuf.open(1, "f").is_ok());
-    if (c.over_low) {
-      ASSERT_TRUE(fx.bbuf.write(1, 0, pattern(256_KiB, 82)).is_ok());
-    }
+    ASSERT_TRUE(fx.bbuf.write(1, 0, pattern(256_KiB, 82)).is_ok());
     const auto before = fx.bbuf.metrics().gauge("bb.cached_bytes");
     {
       std::optional<rt::AckedWriteScope> acked;
@@ -579,6 +619,112 @@ TEST(BurstBuffer, CheckpointBurstBypassesOnlyUnderAsyncStaging) {
       << "a synchronously staged write is not acked yet";
 }
 
+TEST(BurstBuffer, DegradedSyncStagedWriteStagesAndSurvivesACrash) {
+  // Queue-depth admission demotes a write to sync staging: it is acked only
+  // after it executes, so it stages and is journaled like any unacked write,
+  // while the async writes before it bypass. One worker holds the first
+  // write at a gate until the next three are queued; they meet queue depths
+  // 0, 1 and 2, and the third degrades the server.
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool held = false;  // the first write is waiting at the gate
+    bool open = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  auto mem = std::make_shared<MemBackend>();
+  struct FirstWriteGated final : rt::IoBackend {
+    std::shared_ptr<MemBackend> m;
+    std::shared_ptr<Gate> g;
+    FirstWriteGated(std::shared_ptr<MemBackend> mm, std::shared_ptr<Gate> gg)
+        : m(std::move(mm)), g(std::move(gg)) {}
+    Status open(int fd, const std::string& p) override { return m->open(fd, p); }
+    Result<std::uint64_t> write(int fd, std::uint64_t off,
+                                std::span<const std::byte> d) override {
+      {
+        std::unique_lock lk(g->mu);
+        if (!g->held) {
+          g->held = true;
+          g->cv.notify_all();
+          g->cv.wait(lk, [&] { return g->open; });
+        }
+      }
+      return m->write(fd, off, d);
+    }
+    Result<std::uint64_t> read(int fd, std::uint64_t off, std::span<std::byte> o) override {
+      return m->read(fd, off, o);
+    }
+    Status fsync(int fd) override { return m->fsync(fd); }
+    Status close(int fd) override { return m->close(fd); }
+    Result<std::uint64_t> size(int fd) override { return m->size(fd); }
+  };
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("iofwd_degraded_" + std::to_string(::getpid()));
+  std::vector<std::vector<std::byte>> blocks;
+  for (std::uint64_t i = 0; i < 4; ++i) blocks.push_back(pattern(256_KiB, 120 + i));
+  const auto at = [](std::size_t i) { return static_cast<std::uint64_t>(i) * 1_MiB; };
+  {
+    rt::ServerConfig cfg;
+    cfg.exec = rt::ExecModel::work_queue_async;
+    cfg.workers = 1;
+    cfg.degraded_queue_depth = 2;
+    cfg.bb_bytes = 8_MiB;
+    cfg.bb_high_watermark = 1.0;  // staged extents stay in the cache
+    cfg.bb_low_watermark = 1.0;
+    cfg.bb_journal_dir = dir.string();
+    rt::IonServer server(std::make_unique<FirstWriteGated>(mem, gate), cfg);
+    auto [se, ce] = rt::SocketTransport::make_socketpair().value();
+    server.serve(std::move(se));
+    rt::Client client(std::move(ce));
+    ASSERT_TRUE(client.open(1, "ckpt").is_ok());
+    ASSERT_TRUE(client.write(1, at(0), blocks[0]).is_ok());
+    {
+      std::unique_lock lk(gate->mu);
+      ASSERT_TRUE(gate->cv.wait_for(lk, std::chrono::seconds(10), [&] { return gate->held; }))
+          << "the worker never took the first write";
+    }
+    for (std::size_t i = 1; i < 3; ++i) ASSERT_TRUE(client.write(1, at(i), blocks[i]).is_ok());
+    // Acked only once it has executed, so it waits for the gate.
+    auto demoted = std::async(std::launch::async, [&] { return client.write(1, at(3), blocks[3]); });
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.metrics().gauge("server.queue_depth") < 3 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    {
+      std::scoped_lock lk(gate->mu);
+      gate->open = true;
+      gate->cv.notify_all();
+    }
+    ASSERT_TRUE(demoted.get().is_ok());
+    // A single worker runs the queue in order, so the demoted write was last.
+    const auto m = server.metrics();
+    EXPECT_EQ(m.counter("server.degraded_sync_writes"), 1u);
+    EXPECT_EQ(m.counter("bb.bypassed_writes"), 3u);
+    EXPECT_EQ(m.gauge("bb.dirty_bytes"), static_cast<std::int64_t>(256_KiB));
+    EXPECT_GE(m.counter("bb.journal.appends"), 2u) << "the open and the demoted write";
+    EXPECT_EQ(mem->snapshot("ckpt").size(), at(2) + 256_KiB) << "the demoted write reached the backend";
+    server.crash_stop();
+  }
+  {
+    // Recovery replays the demoted write's stage record into a fresh cache.
+    BurstBufferConfig cfg;
+    cfg.capacity_bytes = 8_MiB;
+    cfg.journal_dir = dir.string();
+    BurstBufferBackend bbuf(std::make_unique<RefBackend>(*mem), cfg);
+    bbuf.drain_all();
+    EXPECT_GE(bbuf.metrics().counter("bb.journal.recovered"), 1u);
+  }
+  const auto all = mem->snapshot("ckpt");
+  ASSERT_EQ(all.size(), at(3) + 256_KiB);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_TRUE(std::equal(blocks[i].begin(), blocks[i].end(),
+                           all.begin() + static_cast<std::ptrdiff_t>(at(i))))
+        << "block " << i;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(BurstBuffer, ServerDestroyedWithDirtyExtentsOutstanding) {
   // The cache still holds dirty extents when the server goes away (no fsync,
   // no close): the burst buffer's destructor drains them and counts the
@@ -595,8 +741,9 @@ TEST(BurstBuffer, ServerDestroyedWithDirtyExtentsOutstanding) {
     server->serve(std::move(se));
     rt::Client client(std::move(ce));
     ASSERT_TRUE(client.open(1, "ckpt").is_ok());
+    // 32 KiB writes stage: they are under the acked-write bypass size.
     for (std::uint64_t i = 0; i < 4; ++i) {
-      ASSERT_TRUE(client.write(1, i * 4 * 256_KiB, pattern(256_KiB, 70 + i)).is_ok());
+      ASSERT_TRUE(client.write(1, i * 4 * 256_KiB, pattern(32_KiB, 70 + i)).is_ok());
     }
     ASSERT_TRUE(client.fstat_size(1).is_ok());  // a round trip after the writes
     if (crash) server->crash_stop();

@@ -553,7 +553,6 @@ TEST(JournalRecovery, BypassedWriteOverAFlushedExtentSurvivesACrash) {
   {
     obs::MetricRegistry reg;
     BurstBufferConfig cfg = journaled_config(td.path, &reg);
-    cfg.low_watermark = 0.01;  // S alone (256 KiB of 16 MiB) is above it
     cfg.flush_idle_ms = 0;
     BurstBufferBackend bbuf(std::make_unique<View>(mem.get()), cfg);
     ASSERT_TRUE(bbuf.open(1, "f").is_ok());

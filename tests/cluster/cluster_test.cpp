@@ -142,7 +142,8 @@ TEST(Cluster, DrainShardLeavesSiblingsServing) {
   auto& rc = tc.routing_client();
   const auto fds = fds_covering_all_shards(rc);
 
-  const auto data = pattern(64_KiB, 60);
+  // Under the acked-write bypass size, so every write stages.
+  const auto data = pattern(32_KiB, 60);
   for (int s = 0; s < 2; ++s) {
     const int fd = fds[static_cast<std::size_t>(s)];
     ASSERT_TRUE(rc.open(fd, "drain" + std::to_string(s)).is_ok());

@@ -131,7 +131,9 @@ TEST(FaultInjection, BurstBufferFlushErrorDefersAndSurfacesOnce) {
   auto& client = tc.client();
   ASSERT_TRUE(client.open(1, "x").is_ok());
 
-  const auto data = pattern(64_KiB, 21);
+  // Under the acked-write bypass size, so it stages rather than going
+  // straight to the backend.
+  const auto data = pattern(32_KiB, 21);
   ASSERT_TRUE(client.write(1, 0, data).is_ok());  // ack'd: staged in the cache
   tc.backend_plan().fail_always(fault::OpKind::write, Errc::io_error);
 
