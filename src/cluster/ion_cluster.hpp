@@ -25,7 +25,7 @@
 // "cluster.shard.<i>.*" plus cluster-level "cluster.*" values.
 //
 // Lifecycle: shards start at construction, stop() quiesces the whole fleet;
-// drain_shard(i) quiesces exactly one shard (queue + burst buffer) while its
+// drain_shard(i) quiesces one shard (acked writes + burst buffer) while its
 // siblings keep serving — the building block for rolling maintenance.
 #pragma once
 
@@ -85,7 +85,7 @@ class IonCluster {
   void serve(int shard_idx, std::unique_ptr<rt::ByteStream> stream);
   void serve_listener(int shard_idx, std::unique_ptr<rt::Listener> listener);
 
-  // Quiesce shard i — its task queue drains and its burst buffer flushes —
+  // Quiesce shard i — its acked writes execute and its burst buffer flushes —
   // while every other shard keeps serving. Connections to shard i stay open.
   void drain_shard(int i);
 

@@ -60,6 +60,11 @@ std::size_t DescriptorDb::in_flight(int fd) const {
   return it == table_.end() ? 0 : it->second.in_flight.size();
 }
 
+bool DescriptorDb::any_in_flight() const {
+  return std::any_of(table_.begin(), table_.end(),
+                     [](const auto& kv) { return !kv.second.in_flight.empty(); });
+}
+
 std::size_t DescriptorDb::completed_count(int fd) const {
   auto it = table_.find(fd);
   return it == table_.end() ? 0 : it->second.completed;

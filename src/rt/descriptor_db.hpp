@@ -58,6 +58,7 @@ class DescriptorDb {
 
   [[nodiscard]] bool is_open(int fd) const { return table_.contains(fd); }
   [[nodiscard]] std::size_t in_flight(int fd) const;
+  [[nodiscard]] bool any_in_flight() const;
   [[nodiscard]] std::size_t completed_count(int fd) const;
   [[nodiscard]] std::size_t open_count() const { return table_.size(); }
 

@@ -261,15 +261,13 @@ void IonServer::teardown_for_stop() {
 }
 
 void IonServer::drain() {
-  // Two consecutive quiet observations guard the window between a worker
-  // popping a batch and bumping tasks_in_flight_.
-  for (int stable = 0; stable < 2;) {
-    if (queue_.size() == 0 && tasks_in_flight_.load(std::memory_order_acquire) == 0) {
-      ++stable;
-    } else {
-      stable = 0;
-    }
-    if (stable < 2) std::this_thread::sleep_for(std::chrono::microseconds(200));
+  // Once the callers hold a reply for every op they sent, only an
+  // async-staged write can still be unexecuted. It is begun in db_ before
+  // its early ack and completed after it executes, so this also covers a
+  // write still on its way into the queue or just popped from it.
+  {
+    std::unique_lock lock(db_mu_);
+    db_cv_.wait(lock, [&] { return !db_.any_in_flight(); });
   }
   if (bb_) bb_->drain_all();
 }

@@ -181,12 +181,12 @@ class IonServer {
   // Idempotent with stop(); whichever runs first wins.
   void crash_stop();
 
-  // Quiesce without shutting down: wait until the task queue and every
-  // in-flight worker task have drained, then flush the burst buffer.
-  // Connections stay open and new ops keep flowing afterward — this is the
-  // shard-aware drain a cluster uses to quiesce one ION while its siblings
-  // keep serving. Callers stop issuing ops to this server first (the quiesce
-  // assumption); concurrent traffic just keeps drain() polling longer.
+  // Quiesce without shutting down: wait until every acked async write has
+  // executed, then flush the burst buffer. Connections stay open and new ops
+  // keep flowing afterward — this is the shard-aware drain a cluster uses to
+  // quiesce one ION while its siblings keep serving. Callers stop issuing
+  // ops to this server and hold every reply first (the quiesce assumption);
+  // concurrent traffic just keeps drain() waiting longer.
   void drain();
 
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
@@ -439,9 +439,6 @@ class IonServer {
   std::vector<std::jthread> threads_;
   std::unique_ptr<Listener> listener_;
   std::atomic<bool> stopping_{false};
-  // Tasks popped from the queue but not yet executed to completion; drain()
-  // waits for queue empty AND this zero before flushing the burst buffer.
-  std::atomic<std::uint64_t> tasks_in_flight_{0};
 
   // Receiver lanes, spawned lazily on the first pollable connection
   // (guarded by threads_mu_ until then; immutable afterwards).

@@ -48,14 +48,12 @@ void IonServer::worker_loop(int lane) {
   while (true) {
     auto batch = queue_.pop_batch(kMultiplexDepth);
     if (batch.empty()) return;  // queue closed and drained
-    tasks_in_flight_.fetch_add(batch.size(), std::memory_order_acq_rel);
     if (tracer_ != nullptr) {
       tracer_->counter("queue_depth", static_cast<double>(queue_.size()));
     }
     for (auto& t : batch) {
       h_queue_wait_us_.record(us_since(t.arrival));
       execute_task(t, lane);
-      tasks_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     }
   }
 }
